@@ -25,8 +25,6 @@ that already divide out the machine:
                             override PDX_AUTO_BEST_FLOOR). Uncalibrated
                             cells (one thread, or budget 0) carry the
                             heuristic pick and are not gated.
-  batch.speedup_cols    sequential / batched-column-sequential per-RHS
-                        time (batch_solve)
   batch.speedup_ilv     sequential / batched-wavefront-interleaved
                         per-RHS time (batch_solve)
   refactor.factor_speedup   sequential ilu0 / planned parallel numeric
@@ -54,7 +52,10 @@ that already divide out the machine:
 Per-row jitter is absorbed by aggregating each metric class with a
 geometric mean before comparing; rows present only on one side (e.g. a
 different thread-count sweep on a wider runner) contribute nothing
-rather than failing the gate.
+rather than failing the gate. A class whose baseline has rows but whose
+fresh artifact shares none of them FAILS: that is a deleted or renamed
+bench row, and skipping it would let the gate pass without measuring
+anything.
 
 Baselines must be captured WITHOUT oversubscription (PDX_THREADS no
 larger than the physical core count, or threads rows stripped): a
@@ -134,14 +135,12 @@ def strategy_metrics(doc):
 
 def batch_metrics(doc):
     """Metric-class -> {row_key: ratio} for a batch_solve artifact."""
-    cols, ilv = {}, {}
+    ilv = {}
     for row in doc.get("results", []):
         key = (row.get("threads"), row.get("k"))
-        if row.get("speedup_cols", 0) > 0:
-            cols[key] = row["speedup_cols"]
         if row.get("speedup_ilv", 0) > 0:
             ilv[key] = row["speedup_ilv"]
-    return {"batch.speedup_cols": cols, "batch.speedup_ilv": ilv}
+    return {"batch.speedup_ilv": ilv}
 
 
 def refactor_metrics(doc):
@@ -173,9 +172,10 @@ def kernel_metrics(doc):
     """Metric-class -> {row_key: ratio} for a kernel_micro artifact."""
     # A scalar dispatch (no AVX2/NEON, or PDX_KERNEL=scalar) times the
     # scalar table against itself; every ratio is 1.0 by construction
-    # and gating it would only measure noise.
+    # and gating it would only measure noise. None marks the class as
+    # not measurable on this artifact (skipped, not failed).
     if doc.get("isa", "scalar") == "scalar":
-        return {"kernel.lane_speedup": {}}
+        return {"kernel.lane_speedup": None}
     lane_min = doc.get("lane_min", 4)
     lanes = {}
     for row in doc.get("results", []):
@@ -188,9 +188,15 @@ def kernel_metrics(doc):
 
 def compare(name, fresh, baseline, tolerance):
     """Return (ok, message) for one metric class."""
+    if fresh is None:
+        return True, f"{name}: not measurable on this artifact — skipped"
+    if not baseline:
+        return True, f"{name}: no baseline rows — skipped"
     shared = sorted(set(fresh) & set(baseline))
     if not shared:
-        return True, f"{name}: no shared rows — skipped"
+        return False, (f"{name}: the baseline has {len(baseline)} rows and "
+                       f"the fresh artifact shares none of them — a bench "
+                       f"row was deleted or renamed (FAILED)")
     f = geomean(fresh[k] for k in shared)
     b = geomean(baseline[k] for k in shared)
     if f is None or b is None:
@@ -236,7 +242,7 @@ def main():
         fresh = extract(load(paths[0]))
         baseline = extract(load(paths[1]))
         for name, m in fresh.items():
-            classes[name] = (m, baseline.get(name, {}))
+            classes[name] = (m, baseline.get(name) or {})
 
     ok = True
     for name, (fresh, baseline) in sorted(classes.items()):

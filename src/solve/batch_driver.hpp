@@ -207,6 +207,7 @@ class BatchDriver {
 
   rt::ThreadPool* pool_;
   const sparse::Csr* a_;
+  bool a_finite_ = false;  // every value of *a_ finite (the screen's A·0 = ±0)
   BatchDriverOptions opts_;
   DoacrossIlu0Preconditioner m_;
   std::vector<Job> queue_;

@@ -3,10 +3,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "runtime/schedule.hpp"
 #include "sparse/levels.hpp"
 
 namespace pdx::sparse {
@@ -106,100 +106,61 @@ void FactorPlan::build_symbolic(const Csr& a) {
   w_.resize(static_cast<std::size_t>(a.nnz()));
 }
 
+struct FactorPlan::FactorRow {
+  FactorPlan* p;
+  unsigned tid;
+
+  index_t fetch(index_t pos) const noexcept { return p->sched_.row_at(pos); }
+  template <class Wait>
+  index_t exec(index_t i, Wait& wait) {
+    if (p->injector_) p->injector_->on_row(tid, i, p->exec_.latch());
+    p->factor_row(i, wait);
+    return i;  // publishing row i releases its w slice
+  }
+};
+
 FactorPlan::FactorPlan(rt::ThreadPool& pool, const Csr& a,
                        const FactorPlanOptions& opts)
-    : pool_(&pool),
-      opts_(opts),
-      nth_(pool.clamp_threads(opts.nthreads)),
-      barrier_(pool.clamp_threads(opts.nthreads) == 0
-                   ? 1
-                   : pool.clamp_threads(opts.nthreads)) {
+    : opts_(opts),
+      exec_(pool, opts.nthreads, opts.stall_budget, opts.schedule,
+            opts.reorder),
+      sched_(exec_, a.rows, /*reversed=*/false) {
   build_symbolic(a);
   resolve_kernel();
 
   telemetry_.requested = opts_.strategy;
-  telemetry_.procs = nth_;
-  if (opts_.strategy == ExecutionStrategy::kAuto) {
-    order_ = std::make_unique<core::Reordering>(lower_solve_reordering(a));
-    telemetry_.structure = measure_lower_solve(a, *order_);
-    core::ScheduleAdvice advice =
-        core::advise_factor_schedule(telemetry_.structure, nth_);
-    // Heuristic opening bid; a viable race below times every strategy on
-    // the first real factorizations and locks in the measured winner —
+  telemetry_.procs = exec_.nthreads();
+  const bool advised = opts_.strategy == ExecutionStrategy::kAuto;
+  if (advised) {
+    auto order = std::make_unique<core::Reordering>(lower_solve_reordering(a));
+    telemetry_.structure = measure_lower_solve(a, *order);
+    sched_.set_order(std::move(order));
+    // Heuristic opening bid; a viable race times every strategy on the
+    // first real factorizations and locks in the measured winner — the
     // same calibration protocol as TrisolvePlan (DESIGN.md §13).
-    telemetry_.strategy = advice.strategy;
-    telemetry_.rationale = advice.rationale;
-    if (advice.strategy == ExecutionStrategy::kDoacross) {
-      opts_.schedule = advice.schedule;
-      opts_.reorder = advice.use_reordering;
-    }
-    const bool can_calibrate =
-        opts_.calibration_epochs > 0 && nth_ > 1 && n_ > 0;
-    if (can_calibrate) {
-      bool cache_hit = false;
-      if (opts_.use_tuning_cache) {
-        tuning_key_ = core::make_tuning_key(telemetry_.structure, nth_,
-                                            /*factor=*/true);
-        have_tuning_key_ = true;
-        ExecutionStrategy cached;
-        if (core::tuning_cache().lookup(tuning_key_, cached)) {
-          set_strategy_state(cached);
-          telemetry_.rationale =
-              std::string("tuning cache hit: ") + core::to_string(cached) +
-              " measured fastest earlier for this (pattern, threads)";
-          telemetry_.race.calibrated = true;
-          telemetry_.race.cache_hit = true;
-          cache_hit = true;
-        }
-      }
-      if (!cache_hit) {
-        calibrating_ = true;
-        candidates_ = {telemetry_.strategy};
-        for (const ExecutionStrategy s :
-             {ExecutionStrategy::kSerial, ExecutionStrategy::kDoacross,
-              ExecutionStrategy::kBlockedHybrid,
-              ExecutionStrategy::kLevelBarrier}) {
-          if (s != candidates_.front()) candidates_.push_back(s);
-        }
-        telemetry_.race.timings.resize(candidates_.size());
-        for (std::size_t i = 0; i < candidates_.size(); ++i) {
-          telemetry_.race.timings[i].strategy = candidates_[i];
-        }
-        set_strategy_state(candidates_.front());
-        telemetry_.rationale +=
-            " — calibrating: racing every strategy on the first "
-            "factorizations";
-      }
-    }
+    calib_.open(telemetry_,
+                core::advise_factor_schedule(telemetry_.structure,
+                                             exec_.nthreads()),
+                n_, opts_.calibration_epochs, opts_.use_tuning_cache);
   } else {
     telemetry_.strategy = opts_.strategy;
     telemetry_.rationale = "strategy fixed by caller";
   }
+  exec_.set_strategy(telemetry_.strategy, advised);
   // A calibration race keeps the doconsider order alive — the
   // level-barrier and doacross candidates execute through it; the winner
   // drops it at lock-in if unused.
-  const bool needs_order =
-      calibrating_ ||
-      telemetry_.strategy == ExecutionStrategy::kLevelBarrier ||
-      (telemetry_.strategy == ExecutionStrategy::kDoacross && opts_.reorder);
-  if (needs_order && !order_) {
-    order_ = std::make_unique<core::Reordering>(lower_solve_reordering(a));
+  if (!exec_.needs_order(calib_.calibrating())) {
+    sched_.set_order(nullptr);  // kSerial / kBlockedHybrid run in source order
+  } else if (!sched_.order()) {
+    sched_.set_order(
+        std::make_unique<core::Reordering>(lower_solve_reordering(a)));
   }
-  if (!needs_order) {
-    order_.reset();  // kSerial / kBlockedHybrid run in source order
-  }
-
-  ready_.ensure_size(n_);
-  episodes_.resize(nth_);
-  rounds_.resize(nth_);
-  // Fault containment (DESIGN.md §12): every in-region wait — flag or
-  // barrier — polls this latch so a faulting worker's peers drain and
-  // join instead of deadlocking; a non-zero budget arms the stall
-  // watchdog on the same loops.
-  barrier_.watch(&latch_, opts_.stall_budget);
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget,
-                         core::to_string(telemetry_.strategy)};
-  bind_region();
+  // Bound once — factorize() never constructs (= heap-allocates) a
+  // std::function; per-call inputs travel through aval_/lval_/uval_.
+  region_ = exec_.contain([this](unsigned tid, unsigned nthreads) {
+    sched_.run(tid, nthreads, FactorRow{this, tid});
+  });
 
   telemetry_.symbolic_bytes =
       (ptr_.size() + idx_.size() + diag_.size() + lptr_.size() +
@@ -220,61 +181,6 @@ FactorPlan::FactorPlan(rt::ThreadPool& pool, const Csr& a,
   }
 }
 
-void FactorPlan::set_strategy_state(ExecutionStrategy s) {
-  telemetry_.strategy = s;
-  if (s == ExecutionStrategy::kDoacross &&
-      opts_.strategy == ExecutionStrategy::kAuto) {
-    // The factor advisor's canonical flag-based configuration; keeps
-    // raced doacross epochs and cache-hit plans configured identically.
-    opts_.schedule = rt::Schedule::dynamic(1);
-    opts_.reorder = true;
-  }
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget, core::to_string(s)};
-}
-
-void FactorPlan::note_calibration_epoch(double seconds) {
-  core::StrategyTiming& t = telemetry_.race.timings[cand_idx_];
-  const double us = seconds * 1e6;
-  if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-  ++t.epochs;
-  ++telemetry_.race.exploration_epochs;
-  if (++cand_epoch_ < opts_.calibration_epochs) return;
-  cand_epoch_ = 0;
-  if (++cand_idx_ < candidates_.size()) {
-    set_strategy_state(candidates_[cand_idx_]);
-    bind_region();
-    return;
-  }
-  finish_calibration();
-}
-
-void FactorPlan::finish_calibration() {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < telemetry_.race.timings.size(); ++i) {
-    if (telemetry_.race.timings[i].best_us <
-        telemetry_.race.timings[best].best_us) {
-      best = i;
-    }
-  }
-  const ExecutionStrategy winner = candidates_[best];
-  calibrating_ = false;
-  set_strategy_state(winner);
-  telemetry_.race.calibrated = true;
-  telemetry_.rationale =
-      std::string("calibrated: ") + core::to_string(winner) +
-      " measured fastest (" +
-      std::to_string(telemetry_.race.timings[best].best_us) +
-      " us/factorization over " +
-      std::to_string(telemetry_.race.exploration_epochs) +
-      " exploration factorizations)";
-  if (have_tuning_key_) core::tuning_cache().store(tuning_key_, winner);
-  const bool needs_order =
-      telemetry_.strategy == ExecutionStrategy::kLevelBarrier ||
-      (telemetry_.strategy == ExecutionStrategy::kDoacross && opts_.reorder);
-  if (!needs_order) order_.reset();
-  bind_region();
-}
-
 void FactorPlan::set_lanes(const kernels::LaneOps* ops) noexcept {
   lanes_ = ops;
   // The fused scatter update re-rounds, so it is only reachable when the
@@ -286,40 +192,21 @@ void FactorPlan::set_lanes(const kernels::LaneOps* ops) noexcept {
                 : ops->gather_axpy;
 }
 
-void FactorPlan::resolve_kernel() noexcept {
+void FactorPlan::resolve_kernel() {
+  // Separate race from the strategy race (DESIGN.md §13 budgets are
+  // contractual): scalar-vs-vector is timed on the factorizations that
+  // run after strategy calibration finishes. Both candidates produce
+  // bitwise-identical factors, so exploring is invisible.
   telemetry_.isa = kernels::dispatched_isa();
-  const bool have_vector = telemetry_.isa != kernels::KernelIsa::kScalar;
-  switch (opts_.kernel) {
-    case kernels::KernelChoice::kScalar:
-      set_lanes(&kernels::scalar_ops());
-      telemetry_.kernel = kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kVector:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kAuto:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      // Separate race from the strategy race (DESIGN.md §13 budgets are
-      // contractual): scalar-vs-vector is timed on the factorizations
-      // that run after strategy calibration finishes. Both candidates
-      // produce bitwise-identical factors, so exploring is invisible.
-      if (have_vector && opts_.calibration_epochs > 0 && n_ > 0) {
-        kernel_race_.arm(opts_.calibration_epochs);
-      }
-      return;
-  }
+  telemetry_.kernel =
+      kernel_race_.open(opts_.kernel, n_ > 0 ? opts_.calibration_epochs : 0);
+  set_lanes(&kernels::ops_for(telemetry_.kernel));
 }
 
 void FactorPlan::note_kernel_epoch(double seconds) noexcept {
   if (kernel_race_.note_epoch(seconds * 1e6)) {
-    set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
     telemetry_.kernel = kernel_race_.winner();
+    set_lanes(&kernels::ops_for(telemetry_.kernel));
   }
   telemetry_.kernel_race = kernel_race_.state();
 }
@@ -333,8 +220,8 @@ IluFactors FactorPlan::allocate_factors() const {
   return ilu0_split_pattern(pattern, diag_);
 }
 
-template <class WaitFn>
-void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
+template <class Wait>
+void FactorPlan::factor_row(index_t i, Wait& wait) {
   // Identical arithmetic (step order, update order, divisions) to the
   // sequential ilu0() IKJ loop — values are bitwise equal; the wait hook
   // only sequences the reads of earlier rows' finalized values.
@@ -349,7 +236,7 @@ void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
   for (index_t s = row_step_ptr_[static_cast<std::size_t>(i)]; s < s_end;
        ++s) {
     const index_t kk = lik_pos_[static_cast<std::size_t>(s)];
-    wait(idx_[static_cast<std::size_t>(kk)]);
+    wait(idx_[static_cast<std::size_t>(kk)], i);
     const double lik = w[kk] / w[pivot_pos_[static_cast<std::size_t>(s)]];
     w[kk] = lik;
     const index_t t_begin = upd_ptr_[static_cast<std::size_t>(s)];
@@ -398,116 +285,6 @@ void FactorPlan::factor_row(index_t i, WaitFn&& wait) {
               static_cast<std::size_t>(re - d) * sizeof(double));
 }
 
-void FactorPlan::bind_region() {
-  // Bound once; per-call inputs travel through aval_/lval_/uval_ so
-  // factorize() never constructs (= heap-allocates) a std::function.
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kDoacross: {
-      const index_t* ord = order_ ? order_->order.data() : nullptr;
-      region_ = [this, ord](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        index_t cur = -1;  // row being factored, for stall diagnostics
-        auto flag_wait = [&](index_t k) {
-          const std::uint64_t rounds =
-              core::wait_done_guarded(ready_, k, cur, guard_);
-          if (rounds != 0) {
-            ++eps;
-            rds += rounds;
-          }
-        };
-        auto run_pos = [&](index_t pos) {
-          const index_t i = ord ? ord[pos] : pos;
-          cur = i;
-          if (injector_) injector_->on_row(tid, i, &latch_);
-          factor_row(i, flag_wait);
-          ready_.mark_done(i);  // release-publishes row i's w slice
-        };
-        rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_,
-                         run_pos);
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    }
-    case ExecutionStrategy::kLevelBarrier:
-      region_ = [this](unsigned tid, unsigned nthreads) {
-        // Every producer of level l retired before the barrier that opens
-        // level l+1 — no flags consulted or published.
-        const core::Reordering& ord = *order_;
-        auto no_wait = [](index_t) noexcept {};
-        for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-          const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-          const index_t hi =
-              ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-          const rt::IterRange r =
-              rt::static_block_range(hi - lo, tid, nthreads);
-          for (index_t pos = lo + r.begin; pos < lo + r.end; ++pos) {
-            const index_t i = ord.order[static_cast<std::size_t>(pos)];
-            if (injector_) injector_->on_row(tid, i, &latch_);
-            factor_row(i, no_wait);
-          }
-          barrier_.arrive_and_wait();
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kBlockedHybrid:
-      region_ = [this](unsigned tid, unsigned nthreads) {
-        // Static contiguous blocks in source order: an intra-block pivot
-        // row already retired (rows run in increasing order), so only
-        // boundary-crossing pivots consult a flag.
-        std::uint64_t eps = 0, rds = 0;
-        const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-        index_t cur = -1;
-        auto boundary_wait = [&](index_t k) {
-          if (k < range.begin) {
-            const std::uint64_t rounds =
-                core::wait_done_guarded(ready_, k, cur, guard_);
-            if (rounds != 0) {
-              ++eps;
-              rds += rounds;
-            }
-          }
-        };
-        for (index_t i = range.begin; i < range.end; ++i) {
-          cur = i;
-          if (injector_) injector_->on_row(tid, i, &latch_);
-          factor_row(i, boundary_wait);
-          ready_.mark_done(i);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kSerial:
-      region_ = [this](unsigned, unsigned) {
-        auto no_wait = [](index_t) noexcept {};
-        for (index_t i = 0; i < n_; ++i) {
-          if (injector_) injector_->on_row(0, i, &latch_);
-          factor_row(i, no_wait);
-        }
-      };
-      break;
-    case ExecutionStrategy::kAuto:
-      break;  // unreachable: the constructor never leaves kAuto
-  }
-  // Containment wrapper (applied once — factorize() still never
-  // allocates): a faulting worker records its exception in the latch and
-  // joins; peers observe the latch in their guarded waits, throw
-  // WorkerAbort, and drain here.
-  region_ = [this, raw = std::move(region_)](unsigned tid,
-                                             unsigned nthreads) {
-    try {
-      raw(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-      // A peer faulted first; this thread drained its waits and joins.
-    } catch (...) {
-      latch_.raise(std::current_exception());
-    }
-  };
-}
-
 bool FactorPlan::split_idx_matches(const IluFactors& f) const noexcept {
   // Column indices, not just row counts: two patterns can share every
   // per-row split size and still disagree on which columns the rows
@@ -535,7 +312,7 @@ bool FactorPlan::split_idx_matches(const IluFactors& f) const noexcept {
 }
 
 FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
-  if (poisoned_) {
+  if (exec_.poisoned()) {
     throw rt::PlanPoisonedError(
         "FactorPlan: plan poisoned by an earlier in-region fault; rebuild "
         "the plan before factorizing again");
@@ -589,13 +366,10 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   // locked in, so strategy exploration noise never pollutes the
   // scalar-vs-vector timings. The candidate table is set per
   // factorization (both candidates are bitwise identical).
-  const bool kernel_epoch = kernel_race_.active() && !calibrating_;
+  const bool kernel_epoch = kernel_race_.active() && !calibrating();
   if (kernel_epoch) {
-    const kernels::KernelChoice cand = kernel_race_.candidate();
-    set_lanes(cand == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
-    telemetry_.kernel = cand;
+    telemetry_.kernel = kernel_race_.candidate();
+    set_lanes(&kernels::ops_for(telemetry_.kernel));
   }
 
   using clock = std::chrono::steady_clock;
@@ -609,25 +383,13 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   int pass = 0;
   for (;;) {
     ++pass;
-    ready_.begin_epoch();
-    cursor_.store(0, std::memory_order_relaxed);
+    sched_.begin_epoch();
     bad_row_.store(-1, std::memory_order_relaxed);
     shift_count_.store(0, std::memory_order_relaxed);
-    if (telemetry_.strategy == ExecutionStrategy::kSerial) {
-      region_(0, 1);
-    } else {
-      pool_->parallel_region(nth_, region_);
-      for (unsigned t = 0; t < nth_; ++t) {
-        stats.wait_episodes += episodes_[t].value;
-        stats.wait_rounds += rounds_[t].value;
-      }
-    }
-    if (latch_.raised()) {
-      // A worker faulted (injected fault, stall watchdog, ...) and its
-      // peers drained; partial factors are garbage, so poison the plan.
-      poisoned_ = true;
-      latch_.rethrow_and_reset();
-    }
+    // A worker fault (injected fault, stall watchdog, ...) poisons the
+    // plan and rethrows here: partial factors are garbage.
+    exec_.dispatch(region_);
+    sched_.add_waits(stats);
 
     // Pivot failures under kThrow are recorded in-region (throwing there
     // would strand peers spinning on the bad row's flag) and reported
@@ -665,8 +427,13 @@ FactorStats FactorPlan::factorize(const Csr& a, IluFactors& f) {
   // Race bookkeeping only after a fully successful numeric phase: a
   // fault poisons the plan above without touching the race, and a pivot
   // throw returns before this point — neither feeds the cache.
-  if (calibrating_) {
-    note_calibration_epoch(stats.factor_seconds);
+  if (calibrating()) {
+    if (calib_.note(telemetry_, stats.factor_seconds)) {
+      exec_.set_strategy(telemetry_.strategy, /*advised=*/true);
+      if (!calibrating() && !exec_.needs_order(false)) {
+        sched_.set_order(nullptr);
+      }
+    }
   } else if (kernel_epoch) {
     note_kernel_epoch(stats.factor_seconds);
   }

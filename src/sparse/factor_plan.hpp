@@ -25,8 +25,9 @@
 //    (core::advise_factor_schedule)
 //
 // and then runs parallel numeric factorizations through the ThreadPool
-// with the same epoch-flag / level-barrier / blocked-hybrid / serial
-// executor family TrisolvePlan uses (DESIGN.md §11). Results are bitwise
+// with the same core::DagSchedule walker — doacross / level-barrier /
+// blocked-hybrid / serial — and strategy race TrisolvePlan uses
+// (DESIGN.md §11). Results are bitwise
 // identical to ilu0() under every strategy because each row's arithmetic
 // — the step order, the update order within a step, the divisions — is
 // exactly the sequential IKJ loop's, and a row only ever reads rows that
@@ -44,10 +45,9 @@
 #include <vector>
 
 #include "core/advisor.hpp"
-#include "core/doconsider.hpp"
-#include "core/ready_table.hpp"
+#include "core/calibrator.hpp"
+#include "core/dag_schedule.hpp"
 #include "runtime/aligned.hpp"
-#include "runtime/barrier.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
@@ -118,20 +118,11 @@ struct FactorStats {
 };
 
 /// What the plan decided and owns — reported by benches and forwarded
-/// (as PlanTelemetry::factor_*) by the solve layer.
-struct FactorTelemetry {
-  ExecutionStrategy requested = ExecutionStrategy::kAuto;
-  /// The resolved strategy (never kAuto).
-  ExecutionStrategy strategy = ExecutionStrategy::kSerial;
-  /// The advisor's reason under kAuto; "strategy fixed by caller"
-  /// otherwise. Rewritten when a calibration race locks in its winner.
-  std::string rationale;
-  /// The empirical calibration record (DESIGN.md §13).
-  core::StrategyRace race;
-  /// Measured structure of the lower pattern (populated under kAuto).
-  core::TrisolveStructure structure;
-  /// Processor count the decision assumed.
-  unsigned procs = 0;
+/// (as PlanTelemetry::factor_*) by the solve layer. The strategy fields
+/// (core::StrategyDecision) describe the lower pattern's decision; the
+/// kernel fields (kernels::KernelDecision) the scatter updates', raced
+/// on the factorizations after the strategy race locks in.
+struct FactorTelemetry : core::StrategyDecision, kernels::KernelDecision {
   /// Bytes of the symbolic products (scatter maps, step tables, pattern
   /// copy, working array) the plan owns.
   std::size_t symbolic_bytes = 0;
@@ -143,16 +134,6 @@ struct FactorTelemetry {
   /// Substitute value of the most recent factorize that shifted (0.0 if
   /// the plan has never shifted a pivot).
   double last_shift = 0.0;
-  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL; DESIGN.md §14).
-  kernels::KernelIsa isa = kernels::KernelIsa::kScalar;
-  /// The resolved kernel choice the scatter updates run (never kAuto
-  /// after construction; the current race candidate while a kernel race
-  /// is exploring, the measured winner once locked in).
-  kernels::KernelChoice kernel = kernels::KernelChoice::kScalar;
-  /// The scalar-vs-vector kernel race record (armed only for kAuto
-  /// kernels on machines with a vector ISA; fed by the factorizations
-  /// after the strategy race locks in).
-  kernels::KernelRaceState kernel_race;
 };
 
 /// Persistent ILU(0) plan over one sparsity pattern: symbolic phase at
@@ -192,14 +173,14 @@ class FactorPlan {
   FactorStats factorize(const Csr& a, IluFactors& f);
 
   index_t rows() const noexcept { return n_; }
-  unsigned nthreads() const noexcept { return nth_; }
+  unsigned nthreads() const noexcept { return exec_.nthreads(); }
   /// The resolved execution strategy (never kAuto; the current race
   /// candidate while calibrating()).
   ExecutionStrategy strategy() const noexcept { return telemetry_.strategy; }
   /// True while a kAuto calibration race is still exploring — the next
   /// factorize() calls time the remaining candidates (bitwise identical
   /// factors throughout) before the plan locks in.
-  bool calibrating() const noexcept { return calibrating_; }
+  bool calibrating() const noexcept { return calib_.calibrating(); }
   const FactorTelemetry& telemetry() const noexcept { return telemetry_; }
   /// Completed factorize() calls.
   std::uint64_t factorizations() const noexcept { return factorizations_; }
@@ -207,39 +188,31 @@ class FactorPlan {
   /// stalled mid-factorization); every later factorize() throws
   /// rt::PlanPoisonedError. A clean pivot throw does NOT poison — a
   /// refactorize with good values recovers the plan.
-  bool poisoned() const noexcept { return poisoned_; }
+  bool poisoned() const noexcept { return exec_.poisoned(); }
   /// Attach a fault-injection harness (tests only); nullptr detaches.
   void set_fault_injector(rt::FaultInjector* injector) noexcept {
     injector_ = injector;
   }
 
  private:
-  template <class WaitFn>
-  void factor_row(index_t i, WaitFn&& wait);
+  // The row body the DAG walker runs: one row's elimination.
+  struct FactorRow;
+  template <class Wait>
+  void factor_row(index_t i, Wait& wait);
   bool split_idx_matches(const IluFactors& f) const noexcept;
-  void bind_region();
   void build_symbolic(const Csr& a);
   /// Resolve FactorPlanOptions::kernel against the dispatched ISA and arm
   /// the scalar-vs-vector race for kAuto kernels (DESIGN.md §14).
-  void resolve_kernel() noexcept;
+  void resolve_kernel();
   /// Swap the active LaneOps table and re-resolve the scatter-update
   /// entry point (gather_axpy, or gather_axpy_fma under ulp_tolerance).
   void set_lanes(const kernels::LaneOps* ops) noexcept;
   /// Kernel-race bookkeeping after a successful non-exploration
   /// factorize(); locks in the measured winner at budget end.
   void note_kernel_epoch(double seconds) noexcept;
-  /// Point the plan at strategy `s` (telemetry, doacross configuration,
-  /// guard site); callers rebind the region after.
-  void set_strategy_state(ExecutionStrategy s);
-  /// Race bookkeeping after each SUCCESSFUL factorize() while exploring;
-  /// mirrors TrisolvePlan::note_calibration_epoch (DESIGN.md §13).
-  void note_calibration_epoch(double seconds);
-  void finish_calibration();
 
-  rt::ThreadPool* pool_;
   FactorPlanOptions opts_;
   index_t n_ = 0;
-  unsigned nth_ = 0;
   FactorTelemetry telemetry_;
 
   // --- symbolic products (pattern-derived, built once) ---
@@ -254,28 +227,19 @@ class FactorPlan {
   // flat stream.
   std::vector<index_t> row_step_ptr_, lik_pos_, pivot_pos_;
   std::vector<index_t> upd_ptr_, upd_tgt_, upd_src_;
-  std::unique_ptr<core::Reordering> order_;  // doconsider levels (lower pattern)
 
-  // --- numeric scratch (allocated once, reused every factorize) ---
+  // --- execution: the lower pattern's DAG (doconsider levels, flags,
+  // cursor, wait counters) under the plan's executor (barrier, latch,
+  // poisoning) ---
+  core::DagExecutor exec_;
+  core::DagSchedule sched_;
   std::vector<double, rt::CacheAlignedAllocator<double>> w_;
-  core::EpochReadyTable ready_;
-  rt::Barrier barrier_;
-  std::atomic<index_t> cursor_{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes_, rounds_;
   std::atomic<index_t> bad_row_{-1};
-  rt::FailureLatch latch_;
-  rt::WaitGuard guard_;  // latch + stall budget shared by every flag wait
-  bool poisoned_ = false;
   rt::FaultInjector* injector_ = nullptr;
 
-  // kAuto calibration race state (DESIGN.md §13), advanced by successful
+  // kAuto calibration race (DESIGN.md §13), advanced by successful
   // factorize() calls.
-  bool calibrating_ = false;
-  std::vector<ExecutionStrategy> candidates_;
-  std::size_t cand_idx_ = 0;
-  int cand_epoch_ = 0;
-  core::TuningKey tuning_key_{};
-  bool have_tuning_key_ = false;
+  core::StrategyCalibrator calib_{/*factor=*/true};
 
   // Lane-kernel state (DESIGN.md §14): the active table, the resolved
   // scatter-update entry point (bitwise gather_axpy, or gather_axpy_fma

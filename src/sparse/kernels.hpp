@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/calibrator.hpp"
 #include "runtime/types.hpp"
 
 namespace pdx::sparse::kernels {
@@ -162,63 +163,58 @@ struct KernelRaceState {
   std::vector<KernelTiming> timings;
 };
 
-/// Scalar-vs-vector race bookkeeping shared by TrisolvePlan and
-/// FactorPlan. The strategy race (DESIGN.md §13) stays a pure 4-strategy
-/// race — its budget and winner assertions are contractual — so the
-/// kernel dimension races separately, on the dispatches that actually
-/// execute lane kernels, after the strategy race has locked in. Both
-/// candidates are bitwise identical on those dispatches, so exploration
-/// is invisible to callers.
-class Race {
- public:
-  /// Arm with a per-choice epoch budget (vector explores first — it is
-  /// also the default when nothing ever feeds the race). Non-positive
-  /// budgets leave the race disarmed.
-  void arm(int epochs_per_choice) noexcept {
-    if (epochs_per_choice <= 0) return;
-    budget_ = epochs_per_choice;
-    active_ = true;
-    state_.timings = {KernelTiming{KernelChoice::kVector},
-                      KernelTiming{KernelChoice::kScalar}};
-  }
-  bool active() const noexcept { return active_; }
-  /// The choice the next raced dispatch should execute.
-  KernelChoice candidate() const noexcept {
-    return active_ ? state_.timings[idx_].kernel : winner_;
-  }
-  /// Record one raced dispatch's normalized time; advances the candidate
-  /// after its budget and locks in the winner when every choice has
-  /// spent its budget. Returns true exactly once, at lock-in.
-  bool note_epoch(double us) noexcept {
-    if (!active_) return false;
-    KernelTiming& t = state_.timings[idx_];
-    if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-    ++t.epochs;
-    ++state_.exploration_epochs;
-    if (++epoch_ < budget_) return false;
-    epoch_ = 0;
-    if (++idx_ < state_.timings.size()) return false;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < state_.timings.size(); ++i) {
-      if (state_.timings[i].best_us < state_.timings[best].best_us) best = i;
-    }
-    winner_ = state_.timings[best].kernel;
-    active_ = false;
-    state_.calibrated = true;
-    return true;
-  }
-  /// The locked-in choice (kVector until a race completes and says
-  /// otherwise — the vector table is the default).
-  KernelChoice winner() const noexcept { return winner_; }
-  const KernelRaceState& state() const noexcept { return state_; }
+/// What a plan resolved about its lane kernels (part of PlanTelemetry and
+/// FactorTelemetry).
+struct KernelDecision {
+  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL).
+  KernelIsa isa = KernelIsa::kScalar;
+  /// The resolved kernel choice (never kAuto after construction; the
+  /// current race candidate while a kernel race is exploring, the
+  /// measured winner once locked in).
+  KernelChoice kernel = KernelChoice::kScalar;
+  /// The scalar-vs-vector race record (armed only for kAuto kernels on
+  /// machines with a vector ISA; fed by the lane-kernel dispatches that
+  /// run after the strategy race locked in).
+  KernelRaceState kernel_race;
+};
 
- private:
-  bool active_ = false;
-  int budget_ = 0;
-  int epoch_ = 0;
-  std::size_t idx_ = 0;
-  KernelChoice winner_ = KernelChoice::kVector;
-  KernelRaceState state_;
+/// The table a resolved kernel choice runs (kVector is the dispatched
+/// table, which is the scalar one on machines without a vector ISA).
+inline const LaneOps& ops_for(KernelChoice c) noexcept {
+  return c == KernelChoice::kScalar ? scalar_ops() : dispatched_ops();
+}
+
+/// The scalar-vs-vector race of TrisolvePlan and FactorPlan: the shared
+/// race state machine over {vector, scalar}. The strategy race (DESIGN.md
+/// §13) stays a pure 4-strategy race — its budget and winner assertions
+/// are contractual — so the kernel dimension races separately, on the
+/// dispatches that actually execute lane kernels, after the strategy race
+/// has locked in. Both candidates are bitwise identical on those
+/// dispatches, so exploration is invisible to callers.
+class Race : public core::Race<KernelRaceState, &KernelTiming::kernel> {
+ public:
+  /// The vector table is the default when nothing ever feeds the race.
+  Race() noexcept : core::Race<KernelRaceState, &KernelTiming::kernel>(
+                        KernelChoice::kVector) {}
+
+  using core::Race<KernelRaceState, &KernelTiming::kernel>::arm;
+  /// Arm with a per-choice epoch budget, vector first. Non-positive
+  /// budgets leave the race disarmed.
+  void arm(int epochs_per_choice) {
+    static constexpr KernelChoice kOrder[] = {KernelChoice::kVector,
+                                              KernelChoice::kScalar};
+    arm(kOrder, epochs_per_choice);
+  }
+
+  /// Resolve a plan's kernel option against the dispatched ISA: returns
+  /// the choice to run first (never kAuto) and arms the race for kAuto
+  /// on a vector machine with `epochs` > 0.
+  KernelChoice open(KernelChoice want, int epochs) {
+    const bool vector = dispatched_isa() != KernelIsa::kScalar;
+    if (want == KernelChoice::kAuto && vector) arm(epochs);
+    return want != KernelChoice::kScalar && vector ? KernelChoice::kVector
+                                                  : KernelChoice::kScalar;
+  }
 };
 
 }  // namespace pdx::sparse::kernels

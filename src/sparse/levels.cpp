@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "runtime/schedule.hpp"
-
 namespace pdx::sparse {
 
 namespace {
@@ -126,30 +124,6 @@ DagProfile profile_lower_solve(const Csr& l) {
     p.max_level_size = std::max(p.max_level_size, r.level_size(lvl));
   }
   return p;
-}
-
-std::vector<std::vector<index_t>> level_schedule_sequences(
-    const core::Reordering& ord, unsigned nthreads) {
-  if (nthreads == 0) nthreads = 1;
-  std::vector<std::vector<index_t>> seq(nthreads);
-  const index_t n = ord.iterations();
-  // Each thread's share of every level is within one row of n / (levels *
-  // nthreads) rows; reserve the even split to avoid regrowth.
-  for (auto& s : seq) {
-    s.reserve(static_cast<std::size_t>(n / nthreads) + 1 +
-              static_cast<std::size_t>(ord.num_levels()));
-  }
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    for (unsigned t = 0; t < nthreads; ++t) {
-      const rt::IterRange r = rt::static_block_range(hi - lo, t, nthreads);
-      for (index_t k = lo + r.begin; k < lo + r.end; ++k) {
-        seq[t].push_back(ord.order[static_cast<std::size_t>(k)]);
-      }
-    }
-  }
-  return seq;
 }
 
 }  // namespace pdx::sparse

@@ -50,12 +50,4 @@ core::TrisolveStructure measure_lower_solve(const Csr& l);
 core::TrisolveStructure measure_lower_solve(const Csr& l,
                                             const core::Reordering& r);
 
-/// Per-thread row sequences of a bulk-synchronous wavefront solve:
-/// element t lists, level by level, the static-block slice of each
-/// wavefront that thread t of `nthreads` executes — exactly the order
-/// the level-barrier kernel walks. Used to stream plan-owned packed
-/// factor slabs in execution order (DESIGN.md §10).
-std::vector<std::vector<index_t>> level_schedule_sequences(
-    const core::Reordering& ord, unsigned nthreads);
-
 }  // namespace pdx::sparse

@@ -2,11 +2,9 @@
 
 #include <cassert>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
-#include "runtime/schedule.hpp"
 #include "sparse/levels.hpp"
 #include "sparse/trisolve.hpp"
 
@@ -23,7 +21,7 @@ void check_factor(const Csr& m, const char* what) {
 
 // --- row sources -----------------------------------------------------
 //
-// The layout-generic kernels read rows only through src.at(position);
+// The row bodies read rows only through src.at(position);
 // these adapters supply the two layouts. The CSR views reproduce the
 // historical access path exactly (position -> row via the order array,
 // row -> entries via row_ptr); the packed sources walk the plan-owned
@@ -56,15 +54,6 @@ struct CsrUpperSrc {
             m->idx.data() + b + 1, m->val.data() + b + 1};
   }
 };
-
-CsrLowerSrc csr_lower(const Csr& m, const core::Reordering* ord) noexcept {
-  return {&m, ord ? ord->order.data() : nullptr};
-}
-
-CsrUpperSrc csr_upper(const Csr& m, const core::Reordering* ord,
-                      index_t n) noexcept {
-  return {&m, ord ? ord->order.data() : nullptr, n};
-}
 
 /// kPacked, statically owned slab: positions arrive consecutively, so
 /// the position argument is implicit in the cursor — the pure linear
@@ -141,9 +130,10 @@ inline void prefetch_strip_row(const kernels::LaneOps* lanes,
 /// The NEXT record's gathered strip rows, issued while the lane kernels
 /// chew the current record — one full record of distance, enough to
 /// cover a last-level-cache hit on the spilled factors the packed
-/// layout targets. Only the walk-order executors (serial, level) use
-/// this: their lookahead row's dependences are all final, so the
-/// prefetch never tugs a line another thread is writing.
+/// layout targets. Only the walk-order strategies (serial, level) use
+/// this (core::DagSchedule's lookahead): their lookahead row's
+/// dependences are all final, so the prefetch never tugs a line another
+/// thread is writing.
 inline void prefetch_row_deps(const PackedRow& r, const double* tp,
                               index_t k) noexcept {
   for (index_t j = 0; j < r.cnt; ++j) {
@@ -186,47 +176,173 @@ inline void lane_row_update(const kernels::LaneOps* lanes, double* ti,
 
 }  // namespace
 
-rt::ThreadPool::RegionFn TrisolvePlan::contained(
-    rt::ThreadPool::RegionFn raw) {
-  return [this, raw = std::move(raw)](unsigned tid, unsigned nthreads) {
-    try {
-      raw(tid, nthreads);
-    } catch (rt::WorkerAbort&) {
-      // A peer faulted first; this thread drained its waits and joins.
-    } catch (...) {
-      latch_.raise(std::current_exception());
+
+// --- row bodies ------------------------------------------------------
+
+template <class Src, bool kLower>
+struct TrisolvePlan::SolveRow {
+  Src src;
+  const double* rhs;
+  double* y;
+  const kernels::LaneOps* lanes;
+  bool ulp;
+  int work_reps;  // machine emulation instruments the lower solve only
+  rt::FaultInjector* injector;
+  const rt::FailureLatch* latch;
+  unsigned tid;
+
+  SolveRow(TrisolvePlan& p, Src s, unsigned t, const double* r, double* out)
+      : src(s),
+        rhs(r),
+        y(out),
+        lanes(p.lanes_),
+        ulp(p.ulp_dot_),
+        work_reps(kLower ? p.opts_.work_reps : 0),
+        injector(p.injector_),
+        latch(p.exec_.latch()),
+        tid(t) {}
+
+  PackedRow fetch(index_t pos) { return src.at(pos); }
+
+  // Identical arithmetic (term order, division) to trisolve_lower_seq /
+  // trisolve_upper_seq — results are bitwise equal; the waits only
+  // sequence the reads. The opt-in ulp path retires every wait first,
+  // then runs the reassociated vector dot over the whole row.
+  template <class Wait>
+  index_t exec(const PackedRow& r, Wait& wait) {
+    if (injector) injector->on_row(tid, r.row, latch);
+    double acc = rhs[r.row];
+    if (ulp) {
+      if constexpr (!Wait::kFree) {
+        for (index_t j = 0; j < r.cnt; ++j) wait(r.cols[j], r.row);
+      }
+      acc -= lanes->dot(r.vals, r.cols, y, r.cnt);
+    } else {
+      for (index_t j = 0; j < r.cnt; ++j) {
+        const index_t c = r.cols[j];
+        wait(c, r.row);
+        acc -= r.vals[j] * y[c];
+        if constexpr (kLower) {
+          if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
+        }
+      }
     }
-  };
-}
-
-bool TrisolvePlan::needs_reordering() const noexcept {
-  // Both factors build (or skip) their doconsider analyses by the same
-  // rule: level-barrier executes the levels themselves; doacross uses
-  // the order only when asked to. A calibration race keeps both orders
-  // alive — the level-barrier and doacross candidates need them; the
-  // winner drops what it does not use at lock-in.
-  return calibrating_ ||
-         telemetry_.strategy == ExecutionStrategy::kLevelBarrier ||
-         (telemetry_.strategy == ExecutionStrategy::kDoacross &&
-          opts_.reorder);
-}
-
-void TrisolvePlan::set_strategy_state(ExecutionStrategy s) {
-  telemetry_.strategy = s;
-  if (s == ExecutionStrategy::kDoacross &&
-      opts_.strategy == ExecutionStrategy::kAuto) {
-    // The advisor's canonical flag-based configuration: dynamic
-    // single-iteration issue in doconsider order. Fixing it here keeps
-    // raced doacross epochs and cache-hit plans configured identically.
-    opts_.schedule = rt::Schedule::dynamic(1);
-    opts_.reorder = true;
+    y[r.row] = acc / r.diag;
+    return r.row;
   }
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget, core::to_string(s)};
+};
+
+template <class Src, bool kLower>
+struct TrisolvePlan::StripRow {
+  Src src;
+  index_t k;
+  const double* const* b_cols;
+  double* const* x_cols;
+  double* tp;
+  const kernels::LaneOps* lanes;
+  int work_reps;
+  rt::FaultInjector* injector;
+  const rt::FailureLatch* latch;
+  unsigned tid;
+
+  StripRow(TrisolvePlan& p, Src s, unsigned t)
+      : src(s),
+        k(p.batch_k_),
+        b_cols(p.batch_b_.data()),
+        x_cols(p.batch_x_.data()),
+        tp(p.batch_tmp_.data()),
+        lanes(p.lanes_),
+        work_reps(kLower ? p.opts_.work_reps : 0),
+        injector(p.injector_),
+        latch(p.exec_.latch()),
+        tid(t) {}
+
+  PackedRow fetch(index_t pos) { return src.at(pos); }
+  bool lookahead() const noexcept {
+    return want_lookahead(lanes, k, work_reps);
+  }
+  void prefetch(const PackedRow& next) const noexcept {
+    prefetch_row_deps(next, tp, k);
+  }
+
+  // Column c runs the exact arithmetic of SolveRow on column c (term
+  // order, division) — bitwise equal per column. One wait per dependence
+  // covers all k columns, and the row's record is read once for the
+  // whole batch. Row i's k values accumulate in place in the row-major
+  // strip, where consumers read them contiguously: the lower pass loads
+  // the right-hand sides into it, the upper pass finds the forward
+  // results there and mirrors its solution into the caller's columns
+  // before the row is published.
+  template <class Wait>
+  index_t exec(const PackedRow& r, Wait& wait) {
+    if (injector) injector->on_row(tid, r.row, latch);
+    double* ti = tp + r.row * k;
+    if constexpr (kLower) {
+      for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
+    }
+    // Waits retire first (pulling each ready dependence's strip row
+    // toward L1 as it lands), then the whole dependence list runs
+    // through one fused lane-kernel call.
+    if constexpr (!Wait::kFree) {
+      for (index_t j = 0; j < r.cnt; ++j) {
+        wait(r.cols[j], r.row);
+        prefetch_strip_row(lanes, tp, r.cols[j], k);
+      }
+    }
+    lane_row_update(lanes, ti, tp, r, k, work_reps);
+    lane_div(lanes, ti, r.diag, k);
+    if constexpr (!kLower) {
+      for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
+    }
+    return r.row;
+  }
+};
+
+template <bool kLower, class F>
+void TrisolvePlan::with_src(unsigned tid, F&& f) {
+  // Once per walk, not per row.
+  const PackedFactorStream& ps = kLower ? packed_l_ : packed_u_;
+  if (!ps.packed()) {
+    if constexpr (kLower) {
+      f(CsrLowerSrc{l_, sl_.exec_order()});
+    } else {
+      f(CsrUpperSrc{u_, su_.exec_order(), n_});
+    }
+  } else if (exec_.strategy() == ExecutionStrategy::kDoacross) {
+    f(PackedSeekSrc{&ps});
+  } else {
+    f(PackedWalkSrc{ps.cursor(tid)});
+  }
 }
 
-void TrisolvePlan::rebind_regions() {
-  bind_lower_region();
-  if (u_) bind_upper_regions();
+template <template <class, bool> class Row, bool kLower, class... Args>
+void TrisolvePlan::run_rows(unsigned tid, unsigned nthreads, Args... args) {
+  with_src<kLower>(tid, [&](auto src) {
+    (kLower ? sl_ : su_)
+        .run(tid, nthreads, Row<decltype(src), kLower>(*this, src, tid,
+                                                       args...));
+  });
+}
+
+// --- plan --------------------------------------------------------------
+
+void TrisolvePlan::sync_orders() {
+  // Both factors build (or drop) their doconsider analyses by the same
+  // rule: level-barrier executes the levels; doacross uses the order when
+  // asked to; a calibration race keeps both alive for its candidates.
+  if (!exec_.needs_order(calib_.calibrating())) {
+    sl_.set_order(nullptr);  // kSerial / kBlockedHybrid run in source order
+    su_.set_order(nullptr);
+    return;
+  }
+  if (!sl_.order()) {
+    sl_.set_order(
+        std::make_unique<core::Reordering>(lower_solve_reordering(*l_)));
+  }
+  if (u_ && !su_.order()) {
+    su_.set_order(
+        std::make_unique<core::Reordering>(upper_solve_reordering(*u_)));
+  }
 }
 
 void TrisolvePlan::set_lanes(const kernels::LaneOps* ops) noexcept {
@@ -239,162 +355,54 @@ void TrisolvePlan::set_lanes(const kernels::LaneOps* ops) noexcept {
              ops->isa != kernels::KernelIsa::kScalar;
 }
 
-void TrisolvePlan::resolve_kernel() noexcept {
+void TrisolvePlan::resolve_kernel() {
+  // The strategy race stays a pure 4-strategy race (DESIGN.md §13); the
+  // kernel dimension races separately on the dispatches that actually
+  // run lane kernels, which only begin once strategy exploration is
+  // done. Same epoch budget per choice as the strategy race.
   telemetry_.isa = kernels::dispatched_isa();
-  const bool have_vector = telemetry_.isa != kernels::KernelIsa::kScalar;
-  switch (opts_.kernel) {
-    case kernels::KernelChoice::kScalar:
-      set_lanes(&kernels::scalar_ops());
-      telemetry_.kernel = kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kVector:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      return;
-    case kernels::KernelChoice::kAuto:
-      set_lanes(&kernels::dispatched_ops());
-      telemetry_.kernel = have_vector ? kernels::KernelChoice::kVector
-                                      : kernels::KernelChoice::kScalar;
-      // The strategy race stays a pure 4-strategy race (its budget and
-      // winner bookkeeping are contractual — DESIGN.md §13); the kernel
-      // dimension races separately on the dispatches that actually run
-      // lane kernels, which only begin once strategy exploration is
-      // done. Same epoch budget per choice as the strategy race.
-      if (have_vector && opts_.calibration_epochs > 0 && n_ > 0) {
-        kernel_race_.arm(opts_.calibration_epochs);
-      }
-      return;
-  }
+  telemetry_.kernel =
+      kernel_race_.open(opts_.kernel, n_ > 0 ? opts_.calibration_epochs : 0);
+  set_lanes(&kernels::ops_for(telemetry_.kernel));
 }
 
 void TrisolvePlan::note_kernel_epoch(double seconds, index_t k) noexcept {
   // Normalize per column so epochs of different batch widths compare.
   const double us = seconds * 1e6 / static_cast<double>(k);
   if (kernel_race_.note_epoch(us)) {
-    set_lanes(kernel_race_.winner() == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
     telemetry_.kernel = kernel_race_.winner();
+    set_lanes(&kernels::ops_for(telemetry_.kernel));
   }
   telemetry_.kernel_race = kernel_race_.state();
 }
 
 void TrisolvePlan::resolve_strategy() {
   telemetry_.requested = opts_.strategy;
-  telemetry_.procs = nth_;
+  telemetry_.procs = nthreads();
   if (opts_.strategy != ExecutionStrategy::kAuto) {
     telemetry_.strategy = opts_.strategy;
     telemetry_.rationale = "strategy fixed by caller";
-    return;
+  } else {
+    // The inspector pass of the strategy decision: the doconsider
+    // analysis (levels, widths) plus an O(nnz) distance scan. The
+    // reordering is kept — if the plan lands on doacross or
+    // level-barrier it is the execution order.
+    auto order =
+        std::make_unique<core::Reordering>(lower_solve_reordering(*l_));
+    telemetry_.structure = measure_lower_solve(*l_, *order);
+    sl_.set_order(std::move(order));
+    calib_.open(telemetry_,
+                core::advise_schedule(telemetry_.structure, nthreads()), n_,
+                opts_.calibration_epochs, opts_.use_tuning_cache);
   }
-  // The inspector pass of the strategy decision: the doconsider
-  // analysis (levels, widths) plus an O(nnz) distance scan. The
-  // reordering is kept — if the plan lands on doacross or
-  // level-barrier it is the execution order.
-  l_order_ =
-      std::make_unique<core::Reordering>(lower_solve_reordering(*l_));
-  telemetry_.structure = measure_lower_solve(*l_, *l_order_);
-  core::ScheduleAdvice advice =
-      core::advise_schedule(telemetry_.structure, nth_);
-  // The heuristic pick is the opening bid; with a viable race below it
-  // only decides which strategy explores first.
-  telemetry_.strategy = advice.strategy;
-  telemetry_.rationale = advice.rationale;
-  if (advice.strategy == ExecutionStrategy::kDoacross) {
-    opts_.schedule = advice.schedule;
-    opts_.reorder = advice.use_reordering;
-  }
-  // Empirical calibration (DESIGN.md §13). The heuristic ladder sees DAG
-  // shape, never synchronization cost on the actual machine, and the
-  // strategy baselines prove it can mispick by orders of magnitude. A
-  // race is viable whenever more than one strategy is plausible — with
-  // parallel width and a budget — because all executors are bitwise
-  // identical: the first solves time each candidate invisibly.
-  const bool can_calibrate =
-      opts_.calibration_epochs > 0 && nth_ > 1 && n_ > 0;
-  if (!can_calibrate) return;
-  if (opts_.use_tuning_cache) {
-    tuning_key_ = core::make_tuning_key(telemetry_.structure, nth_,
-                                        /*factor=*/false);
-    have_tuning_key_ = true;
-    ExecutionStrategy cached;
-    if (core::tuning_cache().lookup(tuning_key_, cached)) {
-      set_strategy_state(cached);
-      telemetry_.rationale =
-          std::string("tuning cache hit: ") + core::to_string(cached) +
-          " measured fastest earlier for this (pattern, threads)";
-      telemetry_.race.calibrated = true;
-      telemetry_.race.cache_hit = true;
-      return;
-    }
-  }
-  calibrating_ = true;
-  candidates_ = {telemetry_.strategy};
-  for (const ExecutionStrategy s :
-       {ExecutionStrategy::kSerial, ExecutionStrategy::kDoacross,
-        ExecutionStrategy::kBlockedHybrid, ExecutionStrategy::kLevelBarrier}) {
-    if (s != candidates_.front()) candidates_.push_back(s);
-  }
-  telemetry_.race.timings.resize(candidates_.size());
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    telemetry_.race.timings[i].strategy = candidates_[i];
-  }
-  set_strategy_state(candidates_.front());
-  telemetry_.rationale +=
-      " — calibrating: racing every strategy on the first live solves";
-}
-
-void TrisolvePlan::note_calibration_epoch(double seconds) {
-  core::StrategyTiming& t = telemetry_.race.timings[cand_idx_];
-  const double us = seconds * 1e6;
-  if (t.epochs == 0 || us < t.best_us) t.best_us = us;
-  ++t.epochs;
-  ++telemetry_.race.exploration_epochs;
-  if (++cand_epoch_ < opts_.calibration_epochs) return;
-  cand_epoch_ = 0;
-  if (++cand_idx_ < candidates_.size()) {
-    set_strategy_state(candidates_[cand_idx_]);
-    rebind_regions();
-    return;
-  }
-  finish_calibration();
-}
-
-void TrisolvePlan::finish_calibration() {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < telemetry_.race.timings.size(); ++i) {
-    if (telemetry_.race.timings[i].best_us <
-        telemetry_.race.timings[best].best_us) {
-      best = i;
-    }
-  }
-  const ExecutionStrategy winner = candidates_[best];
-  calibrating_ = false;
-  set_strategy_state(winner);
-  telemetry_.race.calibrated = true;
-  telemetry_.rationale =
-      std::string("calibrated: ") + core::to_string(winner) +
-      " measured fastest (" +
-      std::to_string(telemetry_.race.timings[best].best_us) +
-      " us/solve over " + std::to_string(telemetry_.race.exploration_epochs) +
-      " exploration solves)";
-  if (have_tuning_key_) core::tuning_cache().store(tuning_key_, winner);
-  // Lock-in: drop the orders the winner does not read, resolve the
-  // deferred layout (pack the winner's execution order), and rebind the
-  // regions to the winner's kernels.
-  if (!needs_reordering()) {
-    l_order_.reset();
-    u_order_.reset();
-  }
-  build_packed();
-  rebind_regions();
+  exec_.set_strategy(telemetry_.strategy,
+                     opts_.strategy == ExecutionStrategy::kAuto);
 }
 
 void TrisolvePlan::build_packed() {
   // Packed slab sequences are strategy-specific, so a calibrating plan
   // defers packing to lock-in and explores through CSR-view sources.
-  if (calibrating_ || n_ == 0) return;
+  if (calib_.calibrating() || n_ == 0) return;
   PlanLayout want = opts_.layout;
   if (want == PlanLayout::kAuto) {
     // A serial plan walks each factor once per solve with no cross-thread
@@ -406,75 +414,18 @@ void TrisolvePlan::build_packed() {
                : PlanLayout::kPacked;
   }
   if (want != PlanLayout::kPacked) return;
-  const unsigned width = nth_ == 0 ? 1 : nth_;
+  const unsigned width = nthreads() == 0 ? 1 : nthreads();
   const unsigned slabs =
       telemetry_.strategy == ExecutionStrategy::kSerial ? 1 : width;
-  const index_t* lord = l_order_ ? l_order_->order.data() : nullptr;
-  const index_t* uord = u_order_ ? u_order_->order.data() : nullptr;
-
-  // Per-slab row sequences: the exact order each thread's kernel walks.
-  std::vector<std::vector<index_t>> lseq, useq;
-  bool position_index = false;
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kSerial: {
-      lseq.resize(1);
-      lseq[0].resize(static_cast<std::size_t>(n_));
-      std::iota(lseq[0].begin(), lseq[0].end(), index_t{0});
-      if (u_) {
-        useq.resize(1);
-        useq[0].reserve(static_cast<std::size_t>(n_));
-        for (index_t i = n_ - 1; i >= 0; --i) useq[0].push_back(i);
-      }
-      break;
-    }
-    case ExecutionStrategy::kBlockedHybrid: {
-      lseq.resize(slabs);
-      if (u_) useq.resize(slabs);
-      for (unsigned t = 0; t < slabs; ++t) {
-        const rt::IterRange r = rt::static_block_range(n_, t, slabs);
-        lseq[t].reserve(static_cast<std::size_t>(r.size()));
-        for (index_t i = r.begin; i < r.end; ++i) lseq[t].push_back(i);
-        if (u_) {
-          useq[t].reserve(static_cast<std::size_t>(r.size()));
-          for (index_t k = r.begin; k < r.end; ++k) {
-            useq[t].push_back(n_ - 1 - k);
-          }
-        }
-      }
-      break;
-    }
-    case ExecutionStrategy::kLevelBarrier: {
-      lseq = level_schedule_sequences(*l_order_, slabs);
-      if (u_) useq = level_schedule_sequences(*u_order_, slabs);
-      break;
-    }
-    case ExecutionStrategy::kDoacross: {
-      // Any schedule may claim any position at run time, so the stream
-      // carries a position index; the slab split mirrors the static-
-      // block assignment, which is also where dynamic chunks of a
-      // steady-state solve tend to land.
-      position_index = true;
-      lseq.resize(slabs);
-      if (u_) useq.resize(slabs);
-      for (unsigned t = 0; t < slabs; ++t) {
-        const rt::IterRange r = rt::static_block_range(n_, t, slabs);
-        lseq[t].reserve(static_cast<std::size_t>(r.size()));
-        if (u_) useq[t].reserve(static_cast<std::size_t>(r.size()));
-        for (index_t pos = r.begin; pos < r.end; ++pos) {
-          lseq[t].push_back(lord ? lord[pos] : pos);
-          if (u_) useq[t].push_back(uord ? uord[pos] : n_ - 1 - pos);
-        }
-      }
-      break;
-    }
-    case ExecutionStrategy::kAuto:
-      return;  // unreachable: resolve_strategy() never leaves kAuto
-  }
-
-  packed_l_.prepare(*l_, /*diag_first=*/false, std::move(lseq),
+  // Each slab holds the exact row sequence its thread walks. Any schedule
+  // may claim any doacross position at run time, so that stream also
+  // carries a position index.
+  const bool position_index =
+      telemetry_.strategy == ExecutionStrategy::kDoacross;
+  packed_l_.prepare(*l_, /*diag_first=*/false, sl_.slab_rows(slabs),
                     position_index);
   if (u_) {
-    packed_u_.prepare(*u_, /*diag_first=*/true, std::move(useq),
+    packed_u_.prepare(*u_, /*diag_first=*/true, su_.slab_rows(slabs),
                       position_index);
   }
   // First-touch packing: every slab is written — page-placed — by the
@@ -485,7 +436,7 @@ void TrisolvePlan::build_packed() {
     packed_l_.pack(0);
     if (u_) packed_u_.pack(0);
   } else {
-    pool_->parallel_region(nth_, [this](unsigned tid, unsigned) {
+    exec_.pool().parallel_region(nthreads(), [this](unsigned tid, unsigned) {
       packed_l_.pack(tid);
       if (u_) packed_u_.pack(tid);
     });
@@ -505,399 +456,57 @@ void TrisolvePlan::build_packed() {
   }
 }
 
-void TrisolvePlan::bind_lower_region() {
+void TrisolvePlan::bind_regions() {
   // Region functors are bound once, here; per-call inputs travel through
-  // the lo_/up_ pointer members. This is what makes solve_* allocation
+  // the lo_/up_/batch_ members. This is what makes solve_* allocation
   // free: a fresh capturing lambda would not fit std::function's small
-  // buffer and would heap-allocate on every call. The layout branch runs
-  // once per kernel invocation, not per row.
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kDoacross:
-      lower_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_flags_k(PackedSeekSrc{&packed_l_}, lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-        } else {
-          lower_flags_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kLevelBarrier:
-      lower_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_l_.packed()) {
-          lower_levels_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                         lo_y_, tid, nthreads);
-        } else {
-          lower_levels_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_,
-                         tid, nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kBlockedHybrid:
-      lower_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_blocked_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                          lo_y_, tid, nthreads, eps, rds);
-        } else {
-          lower_blocked_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_, tid,
-                          nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kSerial:
-      lower_region_ = [this](unsigned, unsigned) {
-        if (packed_l_.packed()) {
-          serial_lower_k(PackedWalkSrc{packed_l_.cursor(0)}, lo_rhs_, lo_y_);
-        } else {
-          serial_lower_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_);
-        }
-      };
-      break;
-    case ExecutionStrategy::kAuto:
-      break;  // unreachable: resolve_strategy() never leaves kAuto
-  }
-  lower_region_ = contained(std::move(lower_region_));
-}
-
-void TrisolvePlan::bind_upper_regions() {
-  switch (telemetry_.strategy) {
-    case ExecutionStrategy::kDoacross:
-      upper_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_u_.packed()) {
-          upper_flags_k(PackedSeekSrc{&packed_u_}, up_rhs_, up_y_, tid,
-                        nthreads, eps, rds);
-        } else {
-          upper_flags_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                        tid, nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      fused_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_flags_k(PackedSeekSrc{&packed_l_}, lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-          // The one synchronization point of a fused preconditioner
-          // application: every tmp_ element is published before any
-          // thread starts consuming it in the backward solve. The
-          // busy-wait flags handle everything else on both sides.
-          barrier_.arrive_and_wait();
-          upper_flags_k(PackedSeekSrc{&packed_u_}, up_rhs_, up_y_, tid,
-                        nthreads, eps, rds);
-        } else {
-          lower_flags_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_, tid,
-                        nthreads, eps, rds);
-          barrier_.arrive_and_wait();
-          upper_flags_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                        tid, nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          // One doacross pass per factor; every row carries all k columns.
-          if (packed) {
-            lower_flags_multi_k(PackedSeekSrc{&packed_l_}, tid, nthreads,
-                                eps, rds);
-            barrier_.arrive_and_wait();
-            upper_flags_multi_k(PackedSeekSrc{&packed_u_}, tid, nthreads,
-                                eps, rds);
-          } else {
-            lower_flags_multi_k(csr_lower(*l_, l_order_.get()), tid,
-                                nthreads, eps, rds);
-            barrier_.arrive_and_wait();
-            upper_flags_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
-                                nthreads, eps, rds);
-          }
-        } else {
-          for (index_t c = 0; c < batch_k_; ++c) {
-            if (c > 0) {
-              // Column boundary: the first barrier guarantees every
-              // thread is done with column c-1's flags; thread 0 re-arms
-              // both epoch tables and cursors; the second barrier
-              // publishes the new epoch before any thread of column c
-              // waits on a flag.
-              barrier_.arrive_and_wait();
-              if (tid == 0) reset_for_call(/*lower=*/true, /*upper=*/true);
-              barrier_.arrive_and_wait();
-            }
-            const double* bc = batch_b_[static_cast<std::size_t>(c)];
-            double* xc = batch_x_[static_cast<std::size_t>(c)];
-            if (packed) {
-              lower_flags_k(PackedSeekSrc{&packed_l_}, bc, tmp_.data(), tid,
-                            nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_flags_k(PackedSeekSrc{&packed_u_}, tmp_.data(), xc, tid,
-                            nthreads, eps, rds);
-            } else {
-              lower_flags_k(csr_lower(*l_, l_order_.get()), bc, tmp_.data(),
-                            tid, nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_flags_k(csr_upper(*u_, u_order_.get(), n_), tmp_.data(),
-                            xc, tid, nthreads, eps, rds);
-            }
-          }
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kLevelBarrier:
-      // No flags anywhere: the trailing barrier of each level loop is
-      // also the L→U handoff and the column boundary, so neither the
-      // fused nor the batched region needs any extra synchronization or
-      // epoch re-arming.
-      upper_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_u_.packed()) {
-          upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                         up_y_, tid, nthreads);
-        } else {
-          upper_levels_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                         tid, nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      fused_region_ = [this](unsigned tid, unsigned nthreads) {
-        if (packed_l_.packed()) {
-          lower_levels_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                         lo_y_, tid, nthreads);
-          upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                         up_y_, tid, nthreads);
-        } else {
-          lower_levels_k(csr_lower(*l_, l_order_.get()), lo_rhs_, lo_y_,
-                         tid, nthreads);
-          upper_levels_k(csr_upper(*u_, u_order_.get(), n_), up_rhs_, up_y_,
-                         tid, nthreads);
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          if (packed) {
-            lower_levels_multi_k(PackedWalkSrc{packed_l_.cursor(tid)}, tid,
-                                 nthreads);
-            upper_levels_multi_k(PackedWalkSrc{packed_u_.cursor(tid)}, tid,
-                                 nthreads);
-          } else {
-            lower_levels_multi_k(csr_lower(*l_, l_order_.get()), tid,
-                                 nthreads);
-            upper_levels_multi_k(csr_upper(*u_, u_order_.get(), n_), tid,
-                                 nthreads);
-          }
-        } else {
-          for (index_t c = 0; c < batch_k_; ++c) {
-            const double* bc = batch_b_[static_cast<std::size_t>(c)];
-            double* xc = batch_x_[static_cast<std::size_t>(c)];
-            if (packed) {
-              lower_levels_k(PackedWalkSrc{packed_l_.cursor(tid)}, bc,
-                             tmp_.data(), tid, nthreads);
-              upper_levels_k(PackedWalkSrc{packed_u_.cursor(tid)},
-                             tmp_.data(), xc, tid, nthreads);
-            } else {
-              lower_levels_k(csr_lower(*l_, l_order_.get()), bc,
-                             tmp_.data(), tid, nthreads);
-              upper_levels_k(csr_upper(*u_, u_order_.get(), n_),
-                             tmp_.data(), xc, tid, nthreads);
-            }
-          }
-        }
-        episodes_[tid].value = 0;
-        rounds_[tid].value = 0;
-      };
-      break;
-    case ExecutionStrategy::kBlockedHybrid:
-      upper_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_u_.packed()) {
-          upper_blocked_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                          up_y_, tid, nthreads, eps, rds);
-        } else {
-          upper_blocked_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_, tid,
-                          nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      fused_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        if (packed_l_.packed()) {
-          lower_blocked_k(PackedWalkSrc{packed_l_.cursor(tid)}, lo_rhs_,
-                          lo_y_, tid, nthreads, eps, rds);
-          barrier_.arrive_and_wait();
-          upper_blocked_k(PackedWalkSrc{packed_u_.cursor(tid)}, up_rhs_,
-                          up_y_, tid, nthreads, eps, rds);
-        } else {
-          lower_blocked_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_, tid,
-                          nthreads, eps, rds);
-          barrier_.arrive_and_wait();
-          upper_blocked_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_, tid,
-                          nthreads, eps, rds);
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      batch_region_ = [this](unsigned tid, unsigned nthreads) {
-        std::uint64_t eps = 0, rds = 0;
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          if (packed) {
-            lower_blocked_multi_k(PackedWalkSrc{packed_l_.cursor(tid)}, tid,
-                                  nthreads, eps, rds);
-            barrier_.arrive_and_wait();
-            upper_blocked_multi_k(PackedWalkSrc{packed_u_.cursor(tid)}, tid,
-                                  nthreads, eps, rds);
-          } else {
-            lower_blocked_multi_k(csr_lower(*l_, nullptr), tid, nthreads,
-                                  eps, rds);
-            barrier_.arrive_and_wait();
-            upper_blocked_multi_k(csr_upper(*u_, nullptr, n_), tid,
-                                  nthreads, eps, rds);
-          }
-        } else {
-          for (index_t c = 0; c < batch_k_; ++c) {
-            if (c > 0) {
-              barrier_.arrive_and_wait();
-              if (tid == 0) reset_for_call(/*lower=*/true, /*upper=*/true);
-              barrier_.arrive_and_wait();
-            }
-            const double* bc = batch_b_[static_cast<std::size_t>(c)];
-            double* xc = batch_x_[static_cast<std::size_t>(c)];
-            if (packed) {
-              lower_blocked_k(PackedWalkSrc{packed_l_.cursor(tid)}, bc,
-                              tmp_.data(), tid, nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_blocked_k(PackedWalkSrc{packed_u_.cursor(tid)},
-                              tmp_.data(), xc, tid, nthreads, eps, rds);
-            } else {
-              lower_blocked_k(csr_lower(*l_, nullptr), bc, tmp_.data(), tid,
-                              nthreads, eps, rds);
-              barrier_.arrive_and_wait();
-              upper_blocked_k(csr_upper(*u_, nullptr, n_), tmp_.data(), xc,
-                              tid, nthreads, eps, rds);
-            }
-          }
-        }
-        episodes_[tid].value = eps;
-        rounds_[tid].value = rds;
-      };
-      break;
-    case ExecutionStrategy::kSerial:
-      // These run inline on the calling thread (dispatch() never enters
-      // the pool for a serial plan); tid/nthreads are (0, 1).
-      upper_region_ = [this](unsigned, unsigned) {
-        if (packed_u_.packed()) {
-          serial_upper_k(PackedWalkSrc{packed_u_.cursor(0)}, up_rhs_, up_y_);
-        } else {
-          serial_upper_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_);
-        }
-      };
-      fused_region_ = [this](unsigned, unsigned) {
-        if (packed_l_.packed()) {
-          serial_lower_k(PackedWalkSrc{packed_l_.cursor(0)}, lo_rhs_, lo_y_);
-          serial_upper_k(PackedWalkSrc{packed_u_.cursor(0)}, up_rhs_, up_y_);
-        } else {
-          serial_lower_k(csr_lower(*l_, nullptr), lo_rhs_, lo_y_);
-          serial_upper_k(csr_upper(*u_, nullptr, n_), up_rhs_, up_y_);
-        }
-      };
-      batch_region_ = [this](unsigned, unsigned) {
-        const bool packed = packed_l_.packed();
-        if (batch_mode_ == BatchMode::kWavefrontInterleaved) {
-          // One pass per factor with all k columns in the strip: even
-          // with nothing to overlap across threads, each nonzero now
-          // retires k right-hand sides through one lane kernel.
-          if (packed) {
-            serial_lower_multi_k(PackedWalkSrc{packed_l_.cursor(0)});
-            serial_upper_multi_k(PackedWalkSrc{packed_u_.cursor(0)});
-          } else {
-            serial_lower_multi_k(csr_lower(*l_, nullptr));
-            serial_upper_multi_k(csr_upper(*u_, nullptr, n_));
-          }
-          return;
-        }
-        for (index_t c = 0; c < batch_k_; ++c) {
-          const double* bc = batch_b_[static_cast<std::size_t>(c)];
-          double* xc = batch_x_[static_cast<std::size_t>(c)];
-          if (packed) {
-            serial_lower_k(PackedWalkSrc{packed_l_.cursor(0)}, bc,
-                           tmp_.data());
-            serial_upper_k(PackedWalkSrc{packed_u_.cursor(0)}, tmp_.data(),
-                           xc);
-          } else {
-            serial_lower_k(csr_lower(*l_, nullptr), bc, tmp_.data());
-            serial_upper_k(csr_upper(*u_, nullptr, n_), tmp_.data(), xc);
-          }
-        }
-      };
-      break;
-    case ExecutionStrategy::kAuto:
-      break;  // unreachable
-  }
-  upper_region_ = contained(std::move(upper_region_));
-  fused_region_ = contained(std::move(fused_region_));
-  batch_region_ = contained(std::move(batch_region_));
+  // buffer and would heap-allocate on every call. The walker picks the
+  // strategy per run, so a calibration race never rebinds them.
+  lower_region_ = exec_.contain([this](unsigned tid, unsigned nthreads) {
+    run_rows<SolveRow, true>(tid, nthreads, lo_rhs_, lo_y_);
+  });
+  if (!u_) return;
+  upper_region_ = exec_.contain([this](unsigned tid, unsigned nthreads) {
+    run_rows<SolveRow, false>(tid, nthreads, up_rhs_, up_y_);
+  });
+  fused_region_ = exec_.contain([this](unsigned tid, unsigned nthreads) {
+    run_rows<SolveRow, true>(tid, nthreads, lo_rhs_, lo_y_);
+    // The one synchronization point of a fused preconditioner
+    // application: every tmp_ element is published before any thread
+    // starts consuming it in the backward solve.
+    sl_.handoff();
+    run_rows<SolveRow, false>(tid, nthreads, up_rhs_, up_y_);
+  });
+  batch_region_ = exec_.contain([this](unsigned tid, unsigned nthreads) {
+    run_rows<StripRow, true>(tid, nthreads);
+    sl_.handoff();
+    run_rows<StripRow, false>(tid, nthreads);
+  });
 }
 
 TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
                            const PlanOptions& opts)
-    : pool_(&pool),
-      l_(&l),
+    : l_(&l),
       u_(u),
       opts_(opts),
       n_(l.rows),
-      nth_(pool.clamp_threads(opts.nthreads)),
-      barrier_(nth_ == 0 ? 1 : nth_) {
+      exec_(pool, opts.nthreads, opts.stall_budget, opts.schedule,
+            opts.reorder),
+      sl_(exec_, l.rows, /*reversed=*/false),
+      su_(exec_, u ? l.rows : 0, /*reversed=*/true) {
   check_factor(l, "lower");
   if (u) {
     check_factor(*u, "upper");
     if (u->rows != l.rows) {
       throw std::invalid_argument("TrisolvePlan: L/U dimension mismatch");
     }
+    tmp_.resize(static_cast<std::size_t>(n_));
   }
-  ready_l_.ensure_size(n_);
-  episodes_.resize(nth_);
-  rounds_.resize(nth_);
   resolve_kernel();
   resolve_strategy();
-  // Fault containment: every flag wait and barrier wait of this plan
-  // polls the latch (and the optional stall budget); see DESIGN.md §12.
-  barrier_.watch(&latch_, opts_.stall_budget);
-  guard_ = rt::WaitGuard{&latch_, opts_.stall_budget,
-                         core::to_string(telemetry_.strategy)};
-  if (needs_reordering() && !l_order_) {
-    l_order_ = std::make_unique<core::Reordering>(lower_solve_reordering(l));
-  }
-  if (!needs_reordering()) {
-    l_order_.reset();  // kSerial / kBlockedHybrid run in source order
-  }
-  if (u) {
-    ready_u_.ensure_size(n_);
-    tmp_.resize(static_cast<std::size_t>(n_));
-    if (needs_reordering()) {
-      u_order_ =
-          std::make_unique<core::Reordering>(upper_solve_reordering(*u));
-    }
-  }
+  sync_orders();
   build_packed();
-  bind_lower_region();
-  if (u) bind_upper_regions();
+  bind_regions();
 }
 
 TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l,
@@ -908,585 +517,8 @@ TrisolvePlan::TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr& u,
                            const PlanOptions& opts)
     : TrisolvePlan(pool, l, &u, opts) {}
 
-template <class Src>
-void TrisolvePlan::lower_flags_k(Src src, const double* rhs_p, double* yp,
-                                 unsigned tid, unsigned nthreads,
-                                 std::uint64_t& episodes,
-                                 std::uint64_t& rounds) {
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Identical arithmetic (term order, division) to trisolve_lower_seq —
-  // results are bitwise equal; the ready flags only sequence the reads.
-  // The opt-in ulp path retires every wait first, then runs the
-  // reassociated vector dot over the whole row.
-  auto solve_row = [&](index_t k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_l_, r.cols[j], r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_l_, c, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-        acc -= r.vals[j] * yp[c];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_l_.mark_done(r.row);  // release-publishes the y store
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_l_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_flags_k(Src src, const double* rhs_p, double* yp,
-                                 unsigned tid, unsigned nthreads,
-                                 std::uint64_t& episodes,
-                                 std::uint64_t& rounds) {
-  const bool ulp = ulp_dot_;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  auto solve_row = [&](index_t k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_u_, r.cols[j], r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_u_, c, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-        acc -= r.vals[j] * yp[c];
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_u_.mark_done(r.row);
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_u_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::lower_flags_multi_k(Src src, unsigned tid,
-                                       unsigned nthreads,
-                                       std::uint64_t& episodes,
-                                       std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Column c runs the exact arithmetic of the single-RHS kernel on
-  // b_cols[c] (term order, division) — bitwise equal per column. One
-  // ready flag per row covers all k columns: a dependence is waited on
-  // once, not k times, and the row's record is read once for the whole
-  // batch. Row i's k results accumulate in place in the row-major strip,
-  // where consumers read them contiguously.
-  auto solve_row = [&](index_t pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
-    // Waits retire first (pulling each ready dependence's strip row
-    // toward L1 as it lands), then the whole dependence list runs
-    // through one fused lane-kernel call.
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      const std::uint64_t w = core::wait_done_guarded(ready_l_, col, r.row, guard_);
-      if (w != 0) {
-        ++my_episodes;
-        my_rounds += w;
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, work_reps);
-    lane_div(lanes_, ti, r.diag, k);
-    ready_l_.mark_done(r.row);  // release-publishes all k stores of this row
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_l_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_flags_multi_k(Src src, unsigned tid,
-                                       unsigned nthreads,
-                                       std::uint64_t& episodes,
-                                       std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Row i's strip holds the forward-solve results on entry and is updated
-  // in place into the backward-solve solution; the solution stays
-  // resident in the strip (consumers read it contiguously) and is
-  // mirrored into the caller's column vectors before the row is marked.
-  auto solve_row = [&](index_t pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      const std::uint64_t w = core::wait_done_guarded(ready_u_, col, r.row, guard_);
-      if (w != 0) {
-        ++my_episodes;
-        my_rounds += w;
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, r.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-    ready_u_.mark_done(r.row);
-  };
-  rt::schedule_run(opts_.schedule, n_, tid, nthreads, &cursor_u_, solve_row);
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::lower_levels_k(Src src, const double* rhs_p, double* yp,
-                                  unsigned tid, unsigned nthreads) {
-  // Bulk-synchronous wavefronts: every producer of level l finished
-  // before the barrier that opens level l+1, so no flags are consulted
-  // or published. Row arithmetic is identical to the flag kernels.
-  const core::Reordering& ord = *l_order_;
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    for (index_t pos = lo + r.begin; pos < lo + r.end; ++pos) {
-      const PackedRow row = src.at(pos);
-      if (injector_) injector_->on_row(tid, row.row, &latch_);
-      double acc = rhs_p[row.row];
-      if (ulp) {
-        acc -= lanes_->dot(row.vals, row.cols, yp, row.cnt);
-      } else {
-        for (index_t j = 0; j < row.cnt; ++j) {
-          acc -= row.vals[j] * yp[row.cols[j]];
-          if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-        }
-      }
-      yp[row.row] = acc / row.diag;
-    }
-    // The trailing episode doubles as the L→U handoff of a fused solve.
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::upper_levels_k(Src src, const double* rhs_p, double* yp,
-                                  unsigned tid, unsigned nthreads) {
-  const core::Reordering& ord = *u_order_;
-  const bool ulp = ulp_dot_;
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    for (index_t pos = lo + r.begin; pos < lo + r.end; ++pos) {
-      const PackedRow row = src.at(pos);
-      if (injector_) injector_->on_row(tid, row.row, &latch_);
-      double acc = rhs_p[row.row];
-      if (ulp) {
-        acc -= lanes_->dot(row.vals, row.cols, yp, row.cnt);
-      } else {
-        for (index_t j = 0; j < row.cnt; ++j) {
-          acc -= row.vals[j] * yp[row.cols[j]];
-        }
-      }
-      yp[row.row] = acc / row.diag;
-    }
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::lower_levels_multi_k(Src src, unsigned tid,
-                                        unsigned nthreads) {
-  const core::Reordering& ord = *l_order_;
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  auto body = [&](const PackedRow& row) {
-    if (injector_) injector_->on_row(tid, row.row, &latch_);
-    double* ti = tp + row.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][row.row];
-    lane_row_update(lanes_, ti, tp, row, k, work_reps);
-    lane_div(lanes_, ti, row.diag, k);
-  };
-  const bool look = want_lookahead(lanes_, k, work_reps);
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    const index_t end = lo + r.end;
-    index_t pos = lo + r.begin;
-    if (look && pos < end) {
-      // Pipelined within the level: the lookahead row's dependences are
-      // all in earlier levels, so prefetching them is always final data.
-      PackedRow row = src.at(pos);
-      for (; pos < end; ++pos) {
-        const PackedRow nxt = pos + 1 < end ? src.at(pos + 1) : PackedRow{};
-        prefetch_row_deps(nxt, tp, k);
-        body(row);
-        row = nxt;
-      }
-    } else {
-      for (; pos < end; ++pos) body(src.at(pos));
-    }
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::upper_levels_multi_k(Src src, unsigned tid,
-                                        unsigned nthreads) {
-  const core::Reordering& ord = *u_order_;
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  auto body = [&](const PackedRow& row) {
-    if (injector_) injector_->on_row(tid, row.row, &latch_);
-    double* ti = tp + row.row * k;
-    lane_row_update(lanes_, ti, tp, row, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, row.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][row.row] = ti[c];
-  };
-  const bool look = want_lookahead(lanes_, k, /*work_reps=*/0);
-  for (index_t lvl = 0; lvl < ord.num_levels(); ++lvl) {
-    const index_t lo = ord.level_ptr[static_cast<std::size_t>(lvl)];
-    const index_t hi = ord.level_ptr[static_cast<std::size_t>(lvl) + 1];
-    const rt::IterRange r = rt::static_block_range(hi - lo, tid, nthreads);
-    const index_t end = lo + r.end;
-    index_t pos = lo + r.begin;
-    if (look && pos < end) {
-      PackedRow row = src.at(pos);
-      for (; pos < end; ++pos) {
-        const PackedRow nxt = pos + 1 < end ? src.at(pos + 1) : PackedRow{};
-        prefetch_row_deps(nxt, tp, k);
-        body(row);
-        row = nxt;
-      }
-    } else {
-      for (; pos < end; ++pos) body(src.at(pos));
-    }
-    barrier_.arrive_and_wait();
-  }
-}
-
-template <class Src>
-void TrisolvePlan::lower_blocked_k(Src src, const double* rhs_p, double* yp,
-                                   unsigned tid, unsigned nthreads,
-                                   std::uint64_t& episodes,
-                                   std::uint64_t& rounds) {
-  // Static contiguous blocks in source order: a dependence on a row this
-  // thread owns was already retired (rows run in increasing order), so
-  // only boundary-crossing dependences — c before my block's first row —
-  // consult a flag. Every row is still published — marking is one release
-  // store, and whether a consumer exists in another block is not worth a
-  // build-time scan to know.
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);  // r.row == pos
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c < range.begin) {
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_l_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c < range.begin) {  // cross-block: the only flag traffic
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_l_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-        acc -= r.vals[j] * yp[c];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_l_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_blocked_k(Src src, const double* rhs_p, double* yp,
-                                   unsigned tid, unsigned nthreads,
-                                   std::uint64_t& episodes,
-                                   std::uint64_t& rounds) {
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  // Position space of the backward solve: position k is row n-1-k, so
-  // this thread's block is a contiguous run of *descending* rows topped
-  // by row n-1-range.begin; every intra-block dependence (c > i up to
-  // that top row) is already retired, only rows above it need the flag.
-  const bool ulp = ulp_dot_;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  const index_t top = n_ - 1 - range.begin;
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);  // r.row == n_-1-pos
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c > top) {
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_u_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-      }
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        const index_t c = r.cols[j];
-        if (c > top) {
-          const std::uint64_t w =
-              core::wait_done_guarded(ready_u_, c, r.row, guard_);
-          if (w != 0) {
-            ++my_episodes;
-            my_rounds += w;
-          }
-        }
-        acc -= r.vals[j] * yp[c];
-      }
-    }
-    yp[r.row] = acc / r.diag;
-    ready_u_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::lower_blocked_multi_k(Src src, unsigned tid,
-                                         unsigned nthreads,
-                                         std::uint64_t& episodes,
-                                         std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
-    // Cross-block waits retire first; intra-block dependences already
-    // did (rows run in increasing order within the block).
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      if (col < range.begin) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_l_, col, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, work_reps);
-    lane_div(lanes_, ti, r.diag, k);
-    ready_l_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::upper_blocked_multi_k(Src src, unsigned tid,
-                                         unsigned nthreads,
-                                         std::uint64_t& episodes,
-                                         std::uint64_t& rounds) {
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  std::uint64_t my_episodes = 0, my_rounds = 0;
-  const rt::IterRange range = rt::static_block_range(n_, tid, nthreads);
-  const index_t top = n_ - 1 - range.begin;
-  for (index_t pos = range.begin; pos < range.end; ++pos) {
-    const PackedRow r = src.at(pos);
-    if (injector_) injector_->on_row(tid, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t j = 0; j < r.cnt; ++j) {
-      const index_t col = r.cols[j];
-      if (col > top) {
-        const std::uint64_t w =
-            core::wait_done_guarded(ready_u_, col, r.row, guard_);
-        if (w != 0) {
-          ++my_episodes;
-          my_rounds += w;
-        }
-      }
-      prefetch_strip_row(lanes_, tp, col, k);
-    }
-    lane_row_update(lanes_, ti, tp, r, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, r.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-    ready_u_.mark_done(r.row);
-  }
-  episodes += my_episodes;
-  rounds += my_rounds;
-}
-
-template <class Src>
-void TrisolvePlan::serial_lower_k(Src src, const double* rhs_p,
-                                  double* yp) {
-  // The strategy for chains is to pay NOTHING — no flags, no barrier, no
-  // pool wake-up: the sequential Fig. 7 arithmetic the bitwise contract
-  // is defined against, read through whichever layout the plan owns.
-  const int work_reps = opts_.work_reps;
-  const bool ulp = ulp_dot_;
-  for (index_t k = 0; k < n_; ++k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        acc -= r.vals[j] * yp[r.cols[j]];
-        if (work_reps > 0) acc = machine_emulation_work(acc, work_reps);
-      }
-    }
-    yp[r.row] = acc / r.diag;
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_upper_k(Src src, const double* rhs_p,
-                                  double* yp) {
-  const bool ulp = ulp_dot_;
-  for (index_t k = 0; k < n_; ++k) {
-    const PackedRow r = src.at(k);
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double acc = rhs_p[r.row];
-    if (ulp) {
-      acc -= lanes_->dot(r.vals, r.cols, yp, r.cnt);
-    } else {
-      for (index_t j = 0; j < r.cnt; ++j) {
-        acc -= r.vals[j] * yp[r.cols[j]];
-      }
-    }
-    yp[r.row] = acc / r.diag;
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_lower_multi_k(Src src) {
-  // The interleaved batch through the serial walk: no flags, no barrier,
-  // no dispatch — but the k columns of each strip row still retire
-  // through one lane kernel per nonzero, which is where a single-core
-  // batch server earns its vector units (bitwise equal per column to the
-  // column-sequential walk; same term order, same division).
-  const index_t k = batch_k_;
-  const double* const* b_cols = batch_b_.data();
-  double* tp = batch_tmp_.data();
-  const int work_reps = opts_.work_reps;
-  auto body = [&](const PackedRow& r) {
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    for (index_t c = 0; c < k; ++c) ti[c] = b_cols[c][r.row];
-    lane_row_update(lanes_, ti, tp, r, k, work_reps);
-    lane_div(lanes_, ti, r.diag, k);
-  };
-  if (want_lookahead(lanes_, k, work_reps) && n_ > 0) {
-    PackedRow r = src.at(0);
-    for (index_t pos = 0; pos < n_; ++pos) {
-      const PackedRow nxt = pos + 1 < n_ ? src.at(pos + 1) : PackedRow{};
-      prefetch_row_deps(nxt, tp, k);
-      body(r);
-      r = nxt;
-    }
-  } else {
-    for (index_t pos = 0; pos < n_; ++pos) body(src.at(pos));
-  }
-}
-
-template <class Src>
-void TrisolvePlan::serial_upper_multi_k(Src src) {
-  const index_t k = batch_k_;
-  double* const* x_cols = batch_x_.data();
-  double* tp = batch_tmp_.data();
-  auto body = [&](const PackedRow& r) {
-    if (injector_) injector_->on_row(0, r.row, &latch_);
-    double* ti = tp + r.row * k;
-    lane_row_update(lanes_, ti, tp, r, k, /*work_reps=*/0);
-    lane_div(lanes_, ti, r.diag, k);
-    for (index_t c = 0; c < k; ++c) x_cols[c][r.row] = ti[c];
-  };
-  if (want_lookahead(lanes_, k, /*work_reps=*/0) && n_ > 0) {
-    PackedRow r = src.at(0);
-    for (index_t pos = 0; pos < n_; ++pos) {
-      const PackedRow nxt = pos + 1 < n_ ? src.at(pos + 1) : PackedRow{};
-      prefetch_row_deps(nxt, tp, k);
-      body(r);
-      r = nxt;
-    }
-  } else {
-    for (index_t pos = 0; pos < n_; ++pos) body(src.at(pos));
-  }
-}
-
 void TrisolvePlan::refresh_values(const IluFactors& f) {
-  if (poisoned_) {
+  if (exec_.poisoned()) {
     throw rt::PlanPoisonedError(
         "TrisolvePlan::refresh_values: plan poisoned by an earlier "
         "in-region fault; rebuild the plan");
@@ -1509,7 +541,7 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
         "TrisolvePlan::refresh_values: pattern mismatch — a value-only "
         "refresh requires the plan's sparsity pattern; rebuild the plan");
   }
-  l_ = &f.l;  // kCsrView's whole refresh: the kernels read through these
+  l_ = &f.l;  // kCsrView's whole refresh: the row sources read these
   u_ = &f.u;
   if (telemetry_.layout == PlanLayout::kPacked) {
     if (packed_l_.slab_count() <= 1) {
@@ -1517,7 +549,7 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
       packed_l_.repack_values(*l_, 0);
       packed_u_.repack_values(*u_, 0);
     } else {
-      pool_->parallel_region(nth_, refresh_region_);
+      exec_.pool().parallel_region(nthreads(), refresh_region_);
     }
   }
   const clock::time_point t1 = clock::now();
@@ -1526,68 +558,37 @@ void TrisolvePlan::refresh_values(const IluFactors& f) {
   ++refreshes_;
 }
 
-void TrisolvePlan::reset_for_call(bool lower, bool upper) noexcept {
-  // The whole per-call reset: two O(1) epoch bumps and two counter
-  // stores. Compare trisolve_doacross's per-call Barrier + two vector
-  // allocations + O(n/p) flag sweep + extra barrier. (Flag-free
-  // strategies pay the bumps too — they are two relaxed stores.)
-  if (lower) {
-    ready_l_.begin_epoch();
-    cursor_l_.store(0, std::memory_order_relaxed);
-  }
-  if (upper) {
-    ready_u_.begin_epoch();
-    cursor_u_.store(0, std::memory_order_relaxed);
-  }
-}
-
 core::DoacrossStats TrisolvePlan::dispatch(
-    const rt::ThreadPool::RegionFn& region) {
-  if (poisoned_) {
+    const rt::ThreadPool::RegionFn& region, bool lower, bool upper) {
+  if (exec_.poisoned()) {
     throw rt::PlanPoisonedError(
         "TrisolvePlan: plan poisoned by an earlier in-region fault; "
         "rebuild the plan before solving again");
   }
-  using clock = std::chrono::steady_clock;
-  core::DoacrossStats stats;
-  if (telemetry_.strategy == ExecutionStrategy::kSerial) {
-    // The serial strategy's entire value is paying zero parallel
-    // overhead: the region runs inline on the calling thread, the pool
-    // is never woken, and there are no wait episodes to sum.
-    const clock::time_point t0 = clock::now();
-    region(0, 1);
-    const clock::time_point t1 = clock::now();
-    if (latch_.raised()) {
-      poisoned_ = true;
-      latch_.rethrow_and_reset();
-    }
-    stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-    ++solves_;
-    // Race bookkeeping only after a SUCCESSFUL epoch: a fault above
-    // poisons the plan without corrupting the race or feeding the cache.
-    if (calibrating_) note_calibration_epoch(stats.execute_seconds);
-    return stats;
-  }
-  const clock::time_point t0 = clock::now();
-  pool_->parallel_region(nth_, region);
-  const clock::time_point t1 = clock::now();
-  if (latch_.raised()) {
-    // A worker faulted inside the region; its peers drained their flag
-    // waits via the latch and joined. Partial y/x contents are garbage —
-    // poison so every later solve fails fast instead of reading them.
-    poisoned_ = true;
-    latch_.rethrow_and_reset();
-  }
+  // The whole per-call reset: O(1) epoch bumps and cursor stores. Compare
+  // trisolve_doacross's per-call Barrier + two vector allocations +
+  // O(n/p) flag sweep + extra barrier.
+  if (lower) sl_.begin_epoch();
+  if (upper) su_.begin_epoch();
   // Preprocessing was amortized at plan build and the postprocessing
   // sweep no longer exists, so the whole call is executor time (pool
   // wake-up included — the number a repeated caller actually pays).
-  stats.execute_seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (unsigned t = 0; t < nth_; ++t) {
-    stats.wait_episodes += episodes_[t].value;
-    stats.wait_rounds += rounds_[t].value;
-  }
+  core::DoacrossStats stats;
+  stats.execute_seconds = exec_.dispatch(region);
+  if (lower) sl_.add_waits(stats);
+  if (upper) su_.add_waits(stats);
   ++solves_;
-  if (calibrating_) note_calibration_epoch(stats.execute_seconds);
+  // Race bookkeeping only after a SUCCESSFUL epoch: a fault above
+  // poisons the plan without corrupting the race or feeding the cache.
+  if (calib_.calibrating() && calib_.note(telemetry_, stats.execute_seconds)) {
+    exec_.set_strategy(telemetry_.strategy, /*advised=*/true);
+    if (!calib_.calibrating()) {
+      // Lock-in: drop the orders the winner does not read and resolve
+      // the deferred layout (pack the winner's execution order).
+      sync_orders();
+      build_packed();
+    }
+  }
   return stats;
 }
 
@@ -1598,10 +599,9 @@ core::DoacrossStats TrisolvePlan::solve_lower(std::span<const double> rhs,
     throw std::invalid_argument("TrisolvePlan::solve_lower: size mismatch");
   }
   if (n_ == 0) return {};
-  reset_for_call(/*lower=*/true, /*upper=*/false);
   lo_rhs_ = rhs.data();
   lo_y_ = y.data();
-  return dispatch(lower_region_);
+  return dispatch(lower_region_, /*lower=*/true, /*upper=*/false);
 }
 
 core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
@@ -1614,10 +614,9 @@ core::DoacrossStats TrisolvePlan::solve_upper(std::span<const double> rhs,
     throw std::invalid_argument("TrisolvePlan::solve_upper: size mismatch");
   }
   if (n_ == 0) return {};
-  reset_for_call(/*lower=*/false, /*upper=*/true);
   up_rhs_ = rhs.data();
   up_y_ = z.data();
-  return dispatch(upper_region_);
+  return dispatch(upper_region_, /*lower=*/false, /*upper=*/true);
 }
 
 core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
@@ -1630,15 +629,14 @@ core::DoacrossStats TrisolvePlan::solve(std::span<const double> rhs,
     throw std::invalid_argument("TrisolvePlan::solve: size mismatch");
   }
   if (n_ == 0) return {};
-  reset_for_call(/*lower=*/true, /*upper=*/true);
   lo_rhs_ = rhs.data();
   lo_y_ = tmp_.data();
   up_rhs_ = tmp_.data();
   up_y_ = z.data();
-  return dispatch(fused_region_);
+  return dispatch(fused_region_, /*lower=*/true, /*upper=*/true);
 }
 
-void TrisolvePlan::reserve_batch(index_t max_k, BatchMode mode) {
+void TrisolvePlan::reserve_batch(index_t max_k) {
   if (max_k < 1) {
     throw std::invalid_argument("TrisolvePlan::reserve_batch: max_k < 1");
   }
@@ -1647,47 +645,46 @@ void TrisolvePlan::reserve_batch(index_t max_k, BatchMode mode) {
     batch_b_.resize(k);
     batch_x_.resize(k);
   }
-  // The n-by-k strip backs only the interleaved mode; column-sequential
-  // batches keep the documented O(n) scratch (the plan's tmp_). Serial
-  // plans run the interleaved walk too since the lane kernels landed —
-  // a single core still retires k columns per nonzero through one
-  // vector op — so every strategy needs the strip in this mode.
-  if (mode == BatchMode::kWavefrontInterleaved) {
-    const std::size_t strip = static_cast<std::size_t>(n_) * k;
-    if (batch_tmp_.size() < strip) batch_tmp_.resize(strip);
-  }
+  const std::size_t strip = static_cast<std::size_t>(n_) * k;
+  if (batch_tmp_.size() < strip) batch_tmp_.resize(strip);
 }
 
-core::DoacrossStats TrisolvePlan::run_batch(index_t k, BatchMode mode) {
+core::DoacrossStats TrisolvePlan::run_batch(index_t k) {
   if (n_ == 0) return {};
+  // One column is a plain fused solve: the strip walk's per-column
+  // arithmetic is SolveRow's, so the bits and the one-dispatch budget are
+  // the same without the strip round trip. The opt-in ulp dot would
+  // change the bits, so such plans keep the strip.
+  const bool single = k == 1 && !ulp_dot_;
+  if (single) {
+    lo_rhs_ = batch_b_[0];
+    lo_y_ = tmp_.data();
+    up_rhs_ = tmp_.data();
+    up_y_ = batch_x_[0];
+  }
   batch_k_ = k;
-  batch_mode_ = mode;
   // Scalar-vs-vector kernel race (DESIGN.md §14): fed only by dispatches
-  // that actually execute lane kernels — interleaved batches at least one
-  // vector wide, after the strategy race locked in (so the timing
-  // compares kernels, not strategies) and never under machine emulation
-  // (which pins the instrumented scalar loop). Both candidates are
-  // bitwise identical per column, so exploring is invisible to callers.
-  const bool kernel_epoch = kernel_race_.active() && !calibrating_ &&
-                            mode == BatchMode::kWavefrontInterleaved &&
+  // that actually execute lane kernels — batches at least one vector
+  // wide, after the strategy race locked in (so the timing compares
+  // kernels, not strategies) and never under machine emulation (which
+  // pins the instrumented scalar loop). Both candidates are bitwise
+  // identical per column, so exploring is invisible to callers.
+  const bool kernel_epoch = kernel_race_.active() && !calibrating() &&
                             k >= kernels::kLaneMin && opts_.work_reps == 0;
   if (kernel_epoch) {
-    const kernels::KernelChoice cand = kernel_race_.candidate();
-    set_lanes(cand == kernels::KernelChoice::kScalar
-                  ? &kernels::scalar_ops()
-                  : &kernels::dispatched_ops());
-    telemetry_.kernel = cand;
+    telemetry_.kernel = kernel_race_.candidate();
+    set_lanes(&kernels::ops_for(telemetry_.kernel));
   }
-  reset_for_call(/*lower=*/true, /*upper=*/true);
 #ifndef NDEBUG
   // A calibration epoch may advance the race inside dispatch() —
   // switching the strategy the budget is defined by, and a lock-in can
   // spend an extra dispatch packing the winner — so the budget assert
   // only covers locked-in plans.
-  const bool was_calibrating = calibrating_;
-  const rt::DispatchProbe probe(*pool_);
+  const bool was_calibrating = calibrating();
+  const rt::DispatchProbe probe(exec_.pool());
 #endif
-  const core::DoacrossStats stats = dispatch(batch_region_);
+  const core::DoacrossStats stats = dispatch(
+      single ? fused_region_ : batch_region_, /*lower=*/true, /*upper=*/true);
 #ifndef NDEBUG
   assert((was_calibrating ||
           probe.delta() ==
@@ -1703,8 +700,8 @@ core::DoacrossStats TrisolvePlan::run_batch(index_t k, BatchMode mode) {
 }
 
 core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
-                                              std::span<double> x, index_t k,
-                                              BatchMode mode) {
+                                              std::span<double> x,
+                                              index_t k) {
   if (!u_) {
     throw std::logic_error("TrisolvePlan::solve_batch: lower-only plan");
   }
@@ -1719,29 +716,29 @@ core::DoacrossStats TrisolvePlan::solve_batch(std::span<const double> b,
         " entries but n*k = " + std::to_string(n_) + "*" + std::to_string(k) +
         " = " + std::to_string(n_ * k) + " are required");
   }
-  reserve_batch(k, mode);
+  reserve_batch(k);
   for (index_t c = 0; c < k; ++c) {
     batch_b_[static_cast<std::size_t>(c)] = b.data() + c * n_;
     batch_x_[static_cast<std::size_t>(c)] = x.data() + c * n_;
   }
-  return run_batch(k, mode);
+  return run_batch(k);
 }
 
 core::DoacrossStats TrisolvePlan::solve_batch(const double* const* b_cols,
                                               double* const* x_cols,
-                                              index_t k, BatchMode mode) {
+                                              index_t k) {
   if (!u_) {
     throw std::logic_error("TrisolvePlan::solve_batch: lower-only plan");
   }
   if (k < 1) {
     throw std::invalid_argument("TrisolvePlan::solve_batch: k must be >= 1");
   }
-  reserve_batch(k, mode);
+  reserve_batch(k);
   for (index_t c = 0; c < k; ++c) {
     batch_b_[static_cast<std::size_t>(c)] = b_cols[c];
     batch_x_[static_cast<std::size_t>(c)] = x_cols[c];
   }
-  return run_batch(k, mode);
+  return run_batch(k);
 }
 
 }  // namespace pdx::sparse

@@ -26,9 +26,11 @@
 //
 // Plans are *strategy-polymorphic* (DESIGN.md §9): the same build-time
 // analysis that makes the dependence structure measurable also selects
-// the execution scheme. Four strategies share the plan's state and
-// invariants; `ExecutionStrategy::kAuto` measures the factor's structure
-// at build time and asks core::advise_schedule which to instantiate.
+// the execution scheme. Each factor is a core::DagSchedule whose one
+// walker runs any of the four strategies over the plan's two row bodies
+// (single- and multi-RHS); `ExecutionStrategy::kAuto` measures the
+// factor's structure at build time, asks core::advise_schedule for an
+// opening bid and races the strategies on the first solves.
 // Every strategy is bitwise identical to the sequential Fig. 7 solves;
 // the parallel strategies keep the one-dispatch-per-solve budget, and the
 // serial strategy costs zero dispatches (the whole point of choosing it).
@@ -47,11 +49,11 @@
 #include <vector>
 
 #include "core/advisor.hpp"
+#include "core/calibrator.hpp"
+#include "core/dag_schedule.hpp"
 #include "core/doacross_stats.hpp"
 #include "core/doconsider.hpp"
-#include "core/ready_table.hpp"
 #include "runtime/aligned.hpp"
-#include "runtime/barrier.hpp"
 #include "runtime/failure.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sparse/csr.hpp"
@@ -110,24 +112,11 @@ inline const char* to_string(PlanLayout l) noexcept {
 }
 
 /// What the plan decided and why — reported by benches and BatchDriver.
-struct PlanTelemetry {
-  ExecutionStrategy requested = ExecutionStrategy::kDoacross;
-  /// The resolved strategy (never kAuto). Under a calibration race this
-  /// is the strategy the NEXT solve will run — the current candidate
-  /// while exploring, the measured winner once locked in.
-  ExecutionStrategy strategy = ExecutionStrategy::kDoacross;
-  /// The advisor's reason under kAuto; "strategy fixed by caller"
-  /// otherwise. Never empty after construction. Rewritten when a
-  /// calibration race locks in its measured winner.
-  std::string rationale;
-  /// The empirical calibration record (DESIGN.md §13): whether a measured
-  /// winner is locked in, whether it came from the TuningCache, and the
-  /// per-strategy race timings.
-  core::StrategyRace race;
-  /// Inspector-measured structure of L (populated under kAuto).
-  core::TrisolveStructure structure;
-  /// Processor count the decision assumed (the plan's region width).
-  unsigned procs = 0;
+/// The strategy fields (core::StrategyDecision) describe the L factor's
+/// decision, which covers both solves; the kernel fields are
+/// kernels::KernelDecision, fed by wavefront-interleaved batch dispatches
+/// wide enough to run lane kernels.
+struct PlanTelemetry : core::StrategyDecision, kernels::KernelDecision {
   /// Resolved factor layout (kCsrView for empty plans even when packing
   /// was requested — there is nothing to pack).
   PlanLayout layout = PlanLayout::kCsrView;
@@ -140,16 +129,6 @@ struct PlanTelemetry {
   ExecutionStrategy factor_strategy = ExecutionStrategy::kAuto;
   /// Last refresh_values() sweep, in milliseconds (0 until the first).
   double refresh_ms = 0.0;
-  /// The process-wide dispatched ISA (CPUID + PDX_KERNEL; DESIGN.md §14).
-  kernels::KernelIsa isa = kernels::KernelIsa::kScalar;
-  /// The resolved kernel choice this plan's lane executors run (never
-  /// kAuto after construction; the current race candidate's table while
-  /// a kernel race is exploring, the measured winner once locked in).
-  kernels::KernelChoice kernel = kernels::KernelChoice::kScalar;
-  /// The scalar-vs-vector kernel race record (armed only for kAuto
-  /// kernels on machines with a vector ISA; fed by wavefront-interleaved
-  /// batch dispatches wide enough to execute lane kernels).
-  kernels::KernelRaceState kernel_race;
 };
 
 struct PlanOptions {
@@ -222,19 +201,6 @@ struct PlanOptions {
   double ulp_tolerance = 0.0;
 };
 
-/// How solve_batch walks its k right-hand-side columns inside the single
-/// parallel region (DESIGN.md §8; bench/batch_solve.cpp measures both).
-enum class BatchMode : std::uint8_t {
-  /// One fused L+U solve per column, columns back-to-back. Flag-based
-  /// strategies re-arm the epoch tables between columns (two barrier
-  /// episodes per column boundary). Scratch stays O(n).
-  kColumnSequential,
-  /// One pass over rows per factor; each row carries all k columns, so
-  /// per-dependence synchronization covers all k values via a row-major
-  /// n×k strip: sync cost amortized k-fold. Scratch is O(n*k).
-  kWavefrontInterleaved,
-};
-
 /// Persistent execution plan for L y = rhs / U z = y triangular solves.
 /// Every solve_* call runs with zero per-call heap allocation and resets
 /// synchronization state in O(1); results are bitwise identical to
@@ -271,29 +237,28 @@ class TrisolvePlan {
                             std::span<double> z);
 
   /// Batched fused solve: X[c] = U⁻¹ (L⁻¹ B[c]) for k right-hand-side
-  /// columns in ONE pool dispatch. B and X are column-major n-by-k
-  /// (column c contiguous at data() + c * rows()); each column's result
+  /// columns in ONE pool dispatch (zero for kSerial). B and X are
+  /// column-major n-by-k (column c contiguous at data() + c * rows()).
+  /// Each row carries all k columns through a row-major n-by-k strip, so
+  /// one wait per dependence covers every column (DESIGN.md §8); k = 1
+  /// runs the fused single-RHS solve on its column. Each column's result
   /// is bitwise identical to solve() on that column. Scratch grows on the
   /// first call with a larger k — pre-size with reserve_batch for a
   /// zero-allocation hot path.
-  core::DoacrossStats solve_batch(
-      std::span<const double> b, std::span<double> x, index_t k,
-      BatchMode mode = BatchMode::kWavefrontInterleaved);
+  core::DoacrossStats solve_batch(std::span<const double> b,
+                                  std::span<double> x, index_t k);
 
   /// Pointer-per-column batched solve for columns that are not contiguous
   /// (e.g. a queue of caller-owned vectors): x_cols[c] = U⁻¹ L⁻¹
   /// b_cols[c]. Every column must hold at least rows() elements; columns
   /// must not alias each other or the plan's scratch.
-  core::DoacrossStats solve_batch(
-      const double* const* b_cols, double* const* x_cols, index_t k,
-      BatchMode mode = BatchMode::kWavefrontInterleaved);
+  core::DoacrossStats solve_batch(const double* const* b_cols,
+                                  double* const* x_cols, index_t k);
 
-  /// Pre-size batch scratch so subsequent solve_batch calls with
-  /// k <= max_k in the given mode allocate nothing. Column pointer tables
-  /// are always sized; the n-by-max_k interleaved strip is only allocated
-  /// for kWavefrontInterleaved (column-sequential scratch stays O(n)).
-  void reserve_batch(index_t max_k,
-                     BatchMode mode = BatchMode::kWavefrontInterleaved);
+  /// Pre-size batch scratch (column pointer tables and the n-by-max_k
+  /// strip) so subsequent solve_batch calls with k <= max_k allocate
+  /// nothing.
+  void reserve_batch(index_t max_k);
 
   /// Value-only plan refresh for time-stepping workloads (DESIGN.md §11):
   /// given factors with the SAME pattern as the plan's (e.g. the same
@@ -322,7 +287,7 @@ class TrisolvePlan {
   }
 
   index_t rows() const noexcept { return n_; }
-  unsigned nthreads() const noexcept { return nth_; }
+  unsigned nthreads() const noexcept { return exec_.nthreads(); }
   bool has_upper() const noexcept { return u_ != nullptr; }
   /// The resolved factor layout (kCsrView when nothing was packed).
   PlanLayout layout() const noexcept { return telemetry_.layout; }
@@ -334,7 +299,7 @@ class TrisolvePlan {
   /// True while a kAuto calibration race is still exploring — the next
   /// solves time the remaining candidates before the plan locks in.
   /// Every exploration solve is bitwise identical to the final plan.
-  bool calibrating() const noexcept { return calibrating_; }
+  bool calibrating() const noexcept { return calib_.calibrating(); }
   /// Chosen strategy, rationale and the measured structure behind it.
   const PlanTelemetry& telemetry() const noexcept { return telemetry_; }
   /// Completed solve_* calls (one per pool dispatch; a whole solve_batch
@@ -342,14 +307,14 @@ class TrisolvePlan {
   std::uint64_t solves() const noexcept { return solves_; }
   /// Total right-hand-side columns completed through solve_batch.
   std::uint64_t batch_columns() const noexcept { return batch_columns_; }
-  std::uint32_t lower_epoch() const noexcept { return ready_l_.epoch(); }
+  std::uint32_t lower_epoch() const noexcept { return sl_.epoch(); }
 
   /// True once a fault escaped a worker inside this plan's parallel
   /// region. A poisoned plan's flag tables, cursors and barrier may be
   /// mid-episode, so every subsequent solve_*/refresh_values call throws
   /// rt::PlanPoisonedError — rebuild the plan (or let the solve layer
   /// degrade to the sequential trisolves, see solve/precond.hpp).
-  bool poisoned() const noexcept { return poisoned_; }
+  bool poisoned() const noexcept { return exec_.poisoned(); }
   /// Wire a test-only fault source into the executors (nullptr disarms).
   void set_fault_injector(rt::FaultInjector* injector) noexcept {
     injector_ = injector;
@@ -358,87 +323,38 @@ class TrisolvePlan {
   /// Build-time reorderings (nullptr when the strategy does not use
   /// them — kSerial and kBlockedHybrid run in source order).
   const core::Reordering* lower_reordering() const noexcept {
-    return l_order_.get();
+    return sl_.order();
   }
   const core::Reordering* upper_reordering() const noexcept {
-    return u_order_.get();
+    return su_.order();
   }
 
  private:
-  // --- layout-generic kernels ---
-  // Every kernel is a template over a row Source: src.at(k) yields the
-  // PackedRow record for execution position k. bind_*_region instantiates
-  // each kernel twice — over a packed-stream source (kPacked: a linear
-  // slab walk, or the position index for dynamically claimed doacross
-  // chunks) and over a CSR view (kCsrView: the historical access path).
-  // Per-thread positions arrive in increasing order, which is what lets
-  // the packed walks advance a bare cursor. Arithmetic is identical to
-  // the sequential Fig. 7 solves in every instantiation.
+  // Row bodies (core/dag_schedule.hpp) over a row Source: src.at(k)
+  // yields the PackedRow record for execution position k. Each body is
+  // instantiated over a packed-stream source (kPacked: a linear slab
+  // walk, or the position index for dynamically claimed doacross
+  // positions) and over a CSR view (kCsrView). Arithmetic is identical
+  // to the sequential Fig. 7 solves in every instantiation.
   //
-  // flag-based doacross (ExecutionStrategy::kDoacross):
-  template <class Src>
-  void lower_flags_k(Src src, const double* rhs, double* y, unsigned tid,
-                     unsigned nthreads, std::uint64_t& episodes,
-                     std::uint64_t& rounds);
-  template <class Src>
-  void upper_flags_k(Src src, const double* rhs, double* y, unsigned tid,
-                     unsigned nthreads, std::uint64_t& episodes,
-                     std::uint64_t& rounds);
-  template <class Src>
-  void lower_flags_multi_k(Src src, unsigned tid, unsigned nthreads,
-                           std::uint64_t& episodes,
-                           std::uint64_t& rounds);
-  template <class Src>
-  void upper_flags_multi_k(Src src, unsigned tid, unsigned nthreads,
-                           std::uint64_t& episodes,
-                           std::uint64_t& rounds);
-  // bulk-synchronous wavefronts (kLevelBarrier):
-  template <class Src>
-  void lower_levels_k(Src src, const double* rhs, double* y, unsigned tid,
-                      unsigned nthreads);
-  template <class Src>
-  void upper_levels_k(Src src, const double* rhs, double* y, unsigned tid,
-                      unsigned nthreads);
-  template <class Src>
-  void lower_levels_multi_k(Src src, unsigned tid, unsigned nthreads);
-  template <class Src>
-  void upper_levels_multi_k(Src src, unsigned tid, unsigned nthreads);
-  // static-block hybrid (kBlockedHybrid):
-  template <class Src>
-  void lower_blocked_k(Src src, const double* rhs, double* y, unsigned tid,
-                       unsigned nthreads, std::uint64_t& episodes,
-                       std::uint64_t& rounds);
-  template <class Src>
-  void upper_blocked_k(Src src, const double* rhs, double* y, unsigned tid,
-                       unsigned nthreads, std::uint64_t& episodes,
-                       std::uint64_t& rounds);
-  template <class Src>
-  void lower_blocked_multi_k(Src src, unsigned tid, unsigned nthreads,
-                             std::uint64_t& episodes,
-                             std::uint64_t& rounds);
-  template <class Src>
-  void upper_blocked_multi_k(Src src, unsigned tid, unsigned nthreads,
-                             std::uint64_t& episodes,
-                             std::uint64_t& rounds);
-  // sequential (kSerial; run inline on the calling thread):
-  template <class Src>
-  void serial_lower_k(Src src, const double* rhs, double* y);
-  template <class Src>
-  void serial_upper_k(Src src, const double* rhs, double* y);
-  template <class Src>
-  void serial_lower_multi_k(Src src);
-  template <class Src>
-  void serial_upper_multi_k(Src src);
+  // One right-hand side: y = rhs through L (kLower) or U.
+  template <class Src, bool kLower>
+  struct SolveRow;
+  // All k batch columns of a row through the interleaved strip.
+  template <class Src, bool kLower>
+  struct StripRow;
 
   TrisolvePlan(rt::ThreadPool& pool, const Csr& l, const Csr* u,
                const PlanOptions& opts);
 
-  bool needs_reordering() const noexcept;
   void resolve_strategy();
+  /// Build the doconsider orders the current strategy needs (and a race
+  /// keeps alive); drop the ones it does not read.
+  void sync_orders();
   /// Resolve PlanOptions::kernel against the dispatched ISA: pick the
   /// plan's LaneOps table, record ISA + choice in telemetry, and arm the
   /// scalar-vs-vector race for kAuto kernels (DESIGN.md §14).
-  void resolve_kernel() noexcept;
+  void resolve_kernel();
   /// Swap the active LaneOps table and recompute whether the single-RHS
   /// kernels run the opt-in ulp dot (requires ulp_tolerance > 0, a
   /// vector table, and work_reps == 0).
@@ -447,58 +363,40 @@ class TrisolvePlan {
   /// per-column-normalized time in, candidate table out; locks in the
   /// measured winner when both choices spent their budget.
   void note_kernel_epoch(double seconds, index_t k) noexcept;
-  /// Point the plan at strategy `s`: telemetry, the doacross executor
-  /// configuration (the advisor's canonical dynamic/1 + doconsider
-  /// order), and the wait-guard site name. Callers rebind regions after.
-  void set_strategy_state(ExecutionStrategy s);
-  void rebind_regions();
-  /// Calibration bookkeeping, run after each SUCCESSFUL dispatch while
-  /// exploring: record the epoch's time, advance to the next candidate
-  /// after the per-candidate budget, and lock in the winner at race end.
-  void note_calibration_epoch(double seconds);
-  void finish_calibration();
-  /// Wrap a region functor in the abort protocol: a fault records its
-  /// exception in the latch (raising it); WorkerAbort — a peer draining
-  /// after observing the latch — is discarded. Bound once per region, so
-  /// the per-solve cost is one extra call, not a per-call allocation.
-  rt::ThreadPool::RegionFn contained(rt::ThreadPool::RegionFn raw);
   /// Stream both factors into execution-ordered slabs (PlanLayout::
   /// kPacked): lay the slabs out, then run ONE pool dispatch in which
   /// each thread packs — first-touches — its own slab for both factors.
   void build_packed();
-  void bind_lower_region();
-  void bind_upper_regions();
-  void reset_for_call(bool lower, bool upper) noexcept;
-  core::DoacrossStats run_batch(index_t k, BatchMode mode);
-  core::DoacrossStats dispatch(const rt::ThreadPool::RegionFn& region);
+  void bind_regions();
+  /// Call f(src) with factor L's (kLower) or U's row source for the
+  /// resolved layout and strategy.
+  template <bool kLower, class F>
+  void with_src(unsigned tid, F&& f);
+  /// Walk one factor's DAG for thread tid with body Row.
+  template <template <class, bool> class Row, bool kLower, class... Args>
+  void run_rows(unsigned tid, unsigned nthreads, Args... args);
+  core::DoacrossStats run_batch(index_t k);
+  /// Reset the DAGs the region walks, run it, collect its wait counters,
+  /// and feed the calibration race.
+  core::DoacrossStats dispatch(const rt::ThreadPool::RegionFn& region,
+                               bool lower, bool upper);
 
-  rt::ThreadPool* pool_;
   const Csr* l_;
   const Csr* u_;  // nullptr for a lower-only plan
   PlanOptions opts_;
   index_t n_;
-  unsigned nth_;
   PlanTelemetry telemetry_;
 
-  std::unique_ptr<core::Reordering> l_order_, u_order_;
+  core::DagExecutor exec_;
+  core::DagSchedule sl_, su_;  // the L and U dependence DAGs
   PackedFactorStream packed_l_, packed_u_;
-  core::EpochReadyTable ready_l_, ready_u_;
-  rt::Barrier barrier_;
-  rt::FailureLatch latch_;
-  rt::WaitGuard guard_;  // latch + stall budget shared by every flag wait
-  bool poisoned_ = false;
   rt::FaultInjector* injector_ = nullptr;
 
-  // kAuto calibration race state (DESIGN.md §13). While calibrating_ the
-  // plan serves solves through the current candidate's executor (bitwise
-  // identical to every other candidate) over CSR-view sources — packed
-  // slabs are strategy-specific, so packing waits for the winner.
-  bool calibrating_ = false;
-  std::vector<ExecutionStrategy> candidates_;
-  std::size_t cand_idx_ = 0;
-  int cand_epoch_ = 0;
-  core::TuningKey tuning_key_{};
-  bool have_tuning_key_ = false;
+  // kAuto calibration race (DESIGN.md §13). While it runs the plan serves
+  // solves through the current candidate's walk (bitwise identical to
+  // every other candidate) over CSR-view sources — packed slabs are
+  // strategy-specific, so packing waits for the winner.
+  core::StrategyCalibrator calib_{/*factor=*/false};
 
   // Lane-kernel state (DESIGN.md §14): the active dispatch table, the
   // pre-resolved "single-RHS solves run the ulp dot" flag, and the
@@ -508,8 +406,6 @@ class TrisolvePlan {
   bool ulp_dot_ = false;
   kernels::Race kernel_race_;
 
-  std::atomic<index_t> cursor_l_{0}, cursor_u_{0};
-  std::vector<rt::Padded<std::uint64_t>> episodes_, rounds_;
   std::vector<double, rt::CacheAlignedAllocator<double>> tmp_;
 
   // Per-call vector endpoints, published to the pre-bound region functors
@@ -522,10 +418,9 @@ class TrisolvePlan {
   double* up_y_ = nullptr;
 
   // Batch state: per-call column pointer tables and the row-major n-by-k
-  // mid-value strip of the interleaved mode. Published to the pre-bound
-  // batch region functor through members, like the single-RHS endpoints.
+  // strip. Published to the pre-bound batch region functor through
+  // members, like the single-RHS endpoints.
   index_t batch_k_ = 0;
-  BatchMode batch_mode_ = BatchMode::kWavefrontInterleaved;
   std::vector<const double*> batch_b_;
   std::vector<double*> batch_x_;
   std::vector<double, rt::CacheAlignedAllocator<double>> batch_tmp_;

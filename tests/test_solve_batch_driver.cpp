@@ -218,6 +218,58 @@ TEST(BatchDriver, SecondDrainScreensAlreadySolvedSystems) {
   EXPECT_EQ(second.pool_dispatches, 1u);
 }
 
+TEST(BatchDriver, ZeroGuessScreenSkipsTheSpmvDispatch) {
+  // Service enqueues x = 0, and for a finite A the screen's residual is b
+  // itself: a drain whose guesses are all zero skips the screen's SpMV
+  // dispatch and reports exactly what the SpMV path reports. The same
+  // jobs plus one exact nonzero guess force the SpMV path for contrast.
+  const sp::Csr a = gen::five_point(12, 12);
+  const index_t n = a.rows;
+  const auto b0 = random_vec(n, 81);
+  const std::vector<double> b_zero(static_cast<std::size_t>(n), 0.0);
+  const std::vector<double> ones(static_cast<std::size_t>(n), 1.0);
+  std::vector<double> b_ones(static_cast<std::size_t>(n));
+  sp::spmv(a, ones, b_ones);  // x = 1 is exact: screened at r = 0
+
+  solve::BatchDriverOptions opts;
+  // One fixed parallel strategy: every preconditioner application is
+  // exactly one dispatch, so the screen's dispatch shows in the count.
+  opts.strategy = sp::ExecutionStrategy::kDoacross;
+  opts.nthreads = 4;
+  opts.calibration_epochs = 0;
+  auto drain = [&](bool with_nonzero_guess) {
+    solve::BatchDriver driver(pool(), a, opts);
+    std::vector<double> x0(static_cast<std::size_t>(n), 0.0),
+        xz(static_cast<std::size_t>(n), 0.0), x1 = ones;
+    driver.enqueue(b0, x0);
+    driver.enqueue(b_zero, xz);
+    if (with_nonzero_guess) driver.enqueue(b_ones, x1);
+    return driver.drain();
+  };
+  const solve::BatchReport zero = drain(false);
+  const solve::BatchReport mixed = drain(true);
+
+  EXPECT_EQ(zero.pool_dispatches, zero.precond_solves)
+      << "no screen dispatch for all-zero guesses";
+  EXPECT_EQ(mixed.precond_solves, zero.precond_solves);
+  EXPECT_EQ(mixed.pool_dispatches, zero.pool_dispatches + 1);
+  EXPECT_EQ(zero.screened, 1u) << "b = 0 is still screened";
+  EXPECT_EQ(mixed.screened, 2u);
+  EXPECT_TRUE(zero.reports[1].converged);
+  EXPECT_EQ(zero.reports[1].iterations, 0);
+  for (std::size_t j = 0; j < 2; ++j) {
+    const solve::SolveReport& z = zero.reports[j];
+    const solve::SolveReport& m = mixed.reports[j];
+    EXPECT_EQ(z.converged, m.converged) << "job " << j;
+    EXPECT_EQ(z.iterations, m.iterations) << "job " << j;
+    EXPECT_EQ(z.final_relative_residual, m.final_relative_residual)
+        << "job " << j;
+    EXPECT_EQ(z.residual_history, m.residual_history) << "job " << j;
+    EXPECT_EQ(z.attempts, m.attempts) << "job " << j;
+    EXPECT_EQ(z.breakdown, m.breakdown) << "job " << j;
+  }
+}
+
 TEST(BatchDriver, EmptyDrainAndGuards) {
   const sp::Csr a = gen::five_point(6, 6);
   solve::BatchDriver driver(pool(), a, {});

@@ -1,6 +1,6 @@
 // Tests for the batched multi-RHS execution layer: solve_batch is bitwise
-// identical to k sequential solve() calls across thread counts, schedules,
-// batch modes and k; a whole batch costs exactly ONE pool dispatch
+// identical to k sequential solve() calls across thread counts, schedules
+// and k; a whole batch costs exactly ONE pool dispatch
 // (asserted with rt::DispatchProbe); spmv_batch matches per-column spmv;
 // and the row-major multi-RHS upper doacross completes the par_trisolve
 // API pair.
@@ -43,14 +43,6 @@ std::vector<double> random_columns(index_t n, index_t k, std::uint64_t seed) {
   return m;
 }
 
-constexpr sp::BatchMode kModes[] = {sp::BatchMode::kColumnSequential,
-                                    sp::BatchMode::kWavefrontInterleaved};
-
-const char* mode_name(sp::BatchMode m) {
-  return m == sp::BatchMode::kColumnSequential ? "column-sequential"
-                                               : "wavefront-interleaved";
-}
-
 }  // namespace
 
 TEST(SolveBatch, BitwiseIdentityAcrossModesThreadsSchedulesAndK) {
@@ -78,20 +70,16 @@ TEST(SolveBatch, BitwiseIdentityAcrossModesThreadsSchedulesAndK) {
         EXPECT_EQ(probe.delta(), static_cast<std::uint64_t>(k))
             << "sequential path: one dispatch per RHS";
 
-        for (sp::BatchMode mode : kModes) {
-          std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
-          probe.rebase();
-          plan.solve_batch(b, x, k, mode);
-          EXPECT_EQ(probe.delta(), 1u)
-              << mode_name(mode) << " batch of " << k
-              << " must cost exactly one pool dispatch";
-          for (index_t i = 0; i < n * k; ++i) {
-            ASSERT_EQ(x_seq[static_cast<std::size_t>(i)],
-                      x[static_cast<std::size_t>(i)])
-                << "nth=" << nth << " " << rt::to_string(sched) << " k=" << k
-                << " " << mode_name(mode) << " col " << i / n << " row "
-                << i % n;
-          }
+        std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
+        probe.rebase();
+        plan.solve_batch(b, x, k);
+        EXPECT_EQ(probe.delta(), 1u)
+            << "batch of " << k << " must cost exactly one pool dispatch";
+        for (index_t i = 0; i < n * k; ++i) {
+          ASSERT_EQ(x_seq[static_cast<std::size_t>(i)],
+                    x[static_cast<std::size_t>(i)])
+              << "nth=" << nth << " " << rt::to_string(sched) << " k=" << k
+              << " col " << i / n << " row " << i % n;
         }
       }
     }
@@ -120,21 +108,18 @@ TEST(SolveBatch, PointerColumnsNeedNotBeContiguous) {
     x_ptrs[static_cast<std::size_t>(c)] = x[static_cast<std::size_t>(c)].data();
   }
 
-  for (sp::BatchMode mode : kModes) {
-    for (auto& col : x) std::fill(col.begin(), col.end(), 0.0);
-    rt::DispatchProbe probe(pool());
-    plan.solve_batch(b_ptrs.data(), x_ptrs.data(), k, mode);
-    EXPECT_EQ(probe.delta(), 1u);
-    for (index_t c = 0; c < k; ++c) {
-      std::vector<double> t(static_cast<std::size_t>(n)),
-          z(static_cast<std::size_t>(n));
-      sp::trisolve_lower_seq(f.l, b[static_cast<std::size_t>(c)], t);
-      sp::trisolve_upper_seq(f.u, t, z);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(z[static_cast<std::size_t>(i)],
-                  x[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)])
-            << mode_name(mode) << " col " << c << " row " << i;
-      }
+  rt::DispatchProbe probe(pool());
+  plan.solve_batch(b_ptrs.data(), x_ptrs.data(), k);
+  EXPECT_EQ(probe.delta(), 1u);
+  for (index_t c = 0; c < k; ++c) {
+    std::vector<double> t(static_cast<std::size_t>(n)),
+        z(static_cast<std::size_t>(n));
+    sp::trisolve_lower_seq(f.l, b[static_cast<std::size_t>(c)], t);
+    sp::trisolve_upper_seq(f.u, t, z);
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(z[static_cast<std::size_t>(i)],
+                x[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)])
+          << "col " << c << " row " << i;
     }
   }
 }
@@ -224,16 +209,14 @@ TEST(SolveBatch, PreconditionerApplyBatchMatchesSequentialApplications) {
             std::span<double>(z_seq.data() + c * n,
                               static_cast<std::size_t>(n)));
   }
-  for (sp::BatchMode mode : kModes) {
-    std::vector<double> z(static_cast<std::size_t>(n * k), 0.0);
-    rt::DispatchProbe probe(pool());
-    m.apply_batch(r, z, k, mode);
-    EXPECT_EQ(probe.delta(), 1u) << mode_name(mode);
-    for (index_t i = 0; i < n * k; ++i) {
-      ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
-                z[static_cast<std::size_t>(i)])
-          << mode_name(mode) << " " << i;
-    }
+  std::vector<double> z(static_cast<std::size_t>(n * k), 0.0);
+  rt::DispatchProbe probe(pool());
+  m.apply_batch(r, z, k);
+  EXPECT_EQ(probe.delta(), 1u);
+  for (index_t i = 0; i < n * k; ++i) {
+    ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
+              z[static_cast<std::size_t>(i)])
+        << i;
   }
 }
 

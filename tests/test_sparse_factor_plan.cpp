@@ -92,6 +92,31 @@ sp::Csr evolve_values(const sp::Csr& base, double t) {
   return a;
 }
 
+/// Symmetric band coupling i to i±gap — gap 1 is tridiagonal, whose
+/// lower pattern is one pure chain — plus, with `scattered`, one
+/// deterministic long-distance coupling per row from 64 on: dependences
+/// that cross every static block.
+sp::Csr band(index_t n, index_t gap, bool scattered) {
+  sp::CsrBuilder b(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    b.add(i, i, 8.0);
+    if (i >= gap) {
+      b.add(i, i - gap, -1.0);
+      b.add(i - gap, i, -1.0);
+    }
+    if (scattered && i >= 64) {
+      const index_t d = 64 + (i * 97) % (n / 2);
+      if (i >= d) {
+        b.add(i, i - d, -0.5);
+        b.add(i - d, i, -0.5);
+        b.add(i, i, 1.0);
+        b.add(i - d, i - d, 1.0);
+      }
+    }
+  }
+  return b.build();
+}
+
 void expect_factors_bitwise(const sp::IluFactors& ref, const sp::IluFactors& f,
                             const char* what) {
   ASSERT_EQ(ref.l.ptr, f.l.ptr) << what;
@@ -137,8 +162,13 @@ sp::PlanOptions plan_opts(sp::ExecutionStrategy s, unsigned nth,
 }  // namespace
 
 TEST(FactorPlan, ParallelFactorizationBitwiseMatchesSequential) {
+  // Stencils, plus the walker's edge cases: n = 1, n below the thread
+  // count, a pure chain, a gapped band and scattered long-distance
+  // dependences.
   for (const sp::Csr& base :
-       {gen::five_point(17, 19), gen::seven_point(6, 7, 5)}) {
+       {gen::five_point(17, 19), gen::seven_point(6, 7, 5),
+        band(1, 1, false), band(3, 1, false), band(40, 1, false),
+        band(200, 7, false), band(300, 4, true)}) {
     for (sp::ExecutionStrategy s : kStrategies) {
       for (unsigned nth : {1u, 2u, 4u}) {
         sp::FactorPlan plan(pool(), base, factor_opts(s, nth));

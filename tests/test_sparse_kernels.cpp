@@ -10,8 +10,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "core/calibrator.hpp"
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
@@ -265,8 +267,8 @@ TEST(KernelPlans, BatchSolvesBitwiseAcrossKernelChoices) {
                                 plan_opts(s, nth, layout,
                                           kn::KernelChoice::kVector));
         std::vector<double> x_s(b.size(), 0.0), x_v(b.size(), 0.0);
-        scalar.solve_batch(b, x_s, k, sp::BatchMode::kWavefrontInterleaved);
-        vector.solve_batch(b, x_v, k, sp::BatchMode::kWavefrontInterleaved);
+        scalar.solve_batch(b, x_s, k);
+        vector.solve_batch(b, x_v, k);
         for (index_t i = 0; i < n * k; ++i) {
           ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
                     x_s[static_cast<std::size_t>(i)])
@@ -301,8 +303,8 @@ TEST(KernelPlans, AutoDispatchBitwiseMatchesForcedScalarAcrossEpochs) {
                                      kn::KernelChoice::kAuto));
     std::vector<double> x_f(b.size()), x_a(b.size());
     for (int epoch = 0; epoch < 8; ++epoch) {  // spans the whole race
-      fixed.solve_batch(b, x_f, k, sp::BatchMode::kWavefrontInterleaved);
-      autod.solve_batch(b, x_a, k, sp::BatchMode::kWavefrontInterleaved);
+      fixed.solve_batch(b, x_f, k);
+      autod.solve_batch(b, x_a, k);
       for (index_t i = 0; i < n * k; ++i) {
         ASSERT_EQ(x_f[static_cast<std::size_t>(i)],
                   x_a[static_cast<std::size_t>(i)])
@@ -424,6 +426,75 @@ TEST(KernelRace, RaceUnitLocksInArgminWinner) {
   EXPECT_EQ(st.timings[1].best_us, 5.0);
   // Disarmed races ignore feeds.
   EXPECT_FALSE(race.note_epoch(1.0));
+
+  // The same state machine drives the strategy race: the calibrator opens
+  // with the advisor's pick, then serial / doacross / blocked-hybrid /
+  // level-barrier without repeating the pick, spends the per-candidate
+  // budget on each, and locks in the argmin — the earlier candidate
+  // winning a tie.
+  using core::ExecStrategy;
+  core::StrategyCalibrator cal(/*factor=*/false);
+  core::StrategyDecision d;
+  d.procs = 4;
+  core::ScheduleAdvice advice;
+  advice.strategy = ExecStrategy::kDoacross;
+  advice.rationale = "opening bid";
+  cal.open(d, advice, /*n=*/64, /*epochs=*/2, /*use_cache=*/false);
+  ASSERT_TRUE(cal.calibrating());
+  EXPECT_EQ(d.strategy, ExecStrategy::kDoacross);  // the bid explores first
+  const std::vector<ExecStrategy> order = {
+      ExecStrategy::kDoacross, ExecStrategy::kSerial,
+      ExecStrategy::kBlockedHybrid, ExecStrategy::kLevelBarrier};
+  ASSERT_EQ(d.race.timings.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(d.race.timings[i].strategy, order[i]) << i;
+  }
+  // Per-candidate best (us): 7, 9, 7, 8 — doacross and blocked-hybrid
+  // tie; doacross comes first and wins.
+  const double epochs_us[4][2] = {{7, 20}, {9, 30}, {12, 7}, {8, 8}};
+  for (std::size_t c = 0; c < order.size(); ++c) {
+    EXPECT_EQ(d.strategy, order[c]) << "candidate " << c;
+    EXPECT_FALSE(cal.note(d, epochs_us[c][0] * 1e-6)) << "mid-budget";
+    EXPECT_TRUE(cal.note(d, epochs_us[c][1] * 1e-6)) << "budget spent";
+    EXPECT_EQ(d.race.timings[c].epochs, 2) << "candidate " << c;
+  }
+  EXPECT_FALSE(cal.calibrating());
+  EXPECT_TRUE(d.race.calibrated);
+  EXPECT_EQ(d.strategy, ExecStrategy::kDoacross);
+  EXPECT_EQ(d.race.exploration_epochs, 8);
+  EXPECT_NE(d.rationale.find("calibrated: doacross"), std::string::npos);
+  EXPECT_FALSE(cal.note(d, 1e-6));  // locked in: further epochs ignored
+  EXPECT_EQ(d.race.exploration_epochs, 8);
+}
+
+TEST(KernelRace, TrisolveAndFactorPlansRaceTheSameCandidateOrder) {
+  // One calibrator serves both plan kinds: over the same pattern (both
+  // advisors bid level-barrier for this stencil at 4 threads) a kAuto
+  // TrisolvePlan and a kAuto FactorPlan open the identical race.
+  const sp::Csr a = gen::five_point(20, 20);
+  const sp::IluFactors f = sp::ilu0(a);
+  sp::PlanOptions popts;
+  popts.nthreads = 4;
+  popts.strategy = sp::ExecutionStrategy::kAuto;
+  popts.use_tuning_cache = false;
+  sp::FactorPlanOptions fopts;
+  fopts.nthreads = 4;
+  fopts.strategy = sp::ExecutionStrategy::kAuto;
+  fopts.use_tuning_cache = false;
+  const sp::TrisolvePlan tplan(pool(), f.l, f.u, popts);
+  const sp::FactorPlan fplan(pool(), a, fopts);
+  ASSERT_TRUE(tplan.calibrating());
+  ASSERT_TRUE(fplan.calibrating());
+  auto order_of = [](const core::StrategyRace& race) {
+    std::vector<core::ExecStrategy> o;
+    for (const core::StrategyTiming& t : race.timings) o.push_back(t.strategy);
+    return o;
+  };
+  const std::vector<core::ExecStrategy> expected = {
+      core::ExecStrategy::kLevelBarrier, core::ExecStrategy::kSerial,
+      core::ExecStrategy::kDoacross, core::ExecStrategy::kBlockedHybrid};
+  EXPECT_EQ(order_of(tplan.telemetry().race), expected);
+  EXPECT_EQ(order_of(fplan.telemetry().race), expected);
 }
 
 TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
@@ -445,7 +516,7 @@ TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
     // is scalar from construction.
     EXPECT_EQ(plan.telemetry().kernel, kn::KernelChoice::kScalar);
     for (int e = 0; e < 6; ++e) {
-      plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+      plan.solve_batch(b, x, k);
     }
     EXPECT_FALSE(plan.telemetry().kernel_race.calibrated);
     return;
@@ -454,7 +525,7 @@ TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
   // batches and locks in a measured winner (2 epochs per choice by
   // default).
   for (int e = 0; e < 6; ++e) {
-    plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+    plan.solve_batch(b, x, k);
   }
   const sp::PlanTelemetry& t = plan.telemetry();
   EXPECT_TRUE(t.kernel_race.calibrated);
@@ -471,7 +542,7 @@ TEST(KernelRace, PlanTelemetryRecordsDispatchAndRace) {
                                     sp::PlanLayout::kPacked,
                                     kn::KernelChoice::kVector));
   for (int e = 0; e < 6; ++e) {
-    pinned.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+    pinned.solve_batch(b, x, k);
   }
   EXPECT_FALSE(pinned.telemetry().kernel_race.calibrated);
   EXPECT_EQ(pinned.telemetry().kernel, kn::KernelChoice::kVector);
@@ -492,8 +563,8 @@ TEST(KernelRace, SingleRhsAndNarrowBatchesNeverFeedTheRace) {
                                   kn::KernelChoice::kAuto));
   for (int e = 0; e < 8; ++e) {
     plan.solve(b1, x1);
-    plan.solve_batch(b2, x2, 2, sp::BatchMode::kWavefrontInterleaved);
-    plan.solve_batch(b2, x2, 2, sp::BatchMode::kColumnSequential);
+    plan.solve_batch(b2, x2, 2);
+    plan.solve_batch(b1, x1, 1);
   }
   EXPECT_FALSE(plan.telemetry().kernel_race.calibrated);
   EXPECT_EQ(plan.telemetry().kernel_race.exploration_epochs, 0);

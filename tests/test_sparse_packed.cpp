@@ -90,9 +90,6 @@ constexpr sp::ExecutionStrategy kStrategies[] = {
     sp::ExecutionStrategy::kLevelBarrier,
     sp::ExecutionStrategy::kBlockedHybrid};
 
-constexpr sp::BatchMode kModes[] = {sp::BatchMode::kColumnSequential,
-                                    sp::BatchMode::kWavefrontInterleaved};
-
 sp::PlanOptions plan_opts(sp::ExecutionStrategy s, unsigned nth,
                           sp::PlanLayout layout) {
   sp::PlanOptions o;
@@ -195,22 +192,18 @@ TEST(PackedLayout, BatchSolvesBitwiseAcrossStrategiesModesAndK) {
               std::span<double>(x_ref.data() + c * n,
                                 static_cast<std::size_t>(n)));
         }
-        for (sp::BatchMode mode : kModes) {
-          std::vector<double> x_p(b.size(), 0.0), x_c(b.size(), 0.0);
-          packed.solve_batch(b, x_p, k, mode);
-          csr.solve_batch(b, x_c, k, mode);
-          for (index_t i = 0; i < n * k; ++i) {
-            ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
-                      x_p[static_cast<std::size_t>(i)])
-                << core::to_string(s) << " nth=" << nth << " k=" << k
-                << " mode=" << static_cast<int>(mode) << " at " << i
-                << " (packed vs sequential)";
-            ASSERT_EQ(x_c[static_cast<std::size_t>(i)],
-                      x_p[static_cast<std::size_t>(i)])
-                << core::to_string(s) << " nth=" << nth << " k=" << k
-                << " mode=" << static_cast<int>(mode) << " at " << i
-                << " (packed vs csr-view)";
-          }
+        std::vector<double> x_p(b.size(), 0.0), x_c(b.size(), 0.0);
+        packed.solve_batch(b, x_p, k);
+        csr.solve_batch(b, x_c, k);
+        for (index_t i = 0; i < n * k; ++i) {
+          ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
+                    x_p[static_cast<std::size_t>(i)])
+              << core::to_string(s) << " nth=" << nth << " k=" << k
+              << " at " << i << " (packed vs sequential)";
+          ASSERT_EQ(x_c[static_cast<std::size_t>(i)],
+                    x_p[static_cast<std::size_t>(i)])
+              << core::to_string(s) << " nth=" << nth << " k=" << k
+              << " at " << i << " (packed vs csr-view)";
         }
       }
     }
@@ -231,8 +224,7 @@ TEST(PackedLayout, PackedSolvesAreZeroAllocAndOneDispatch) {
     // Warm-up grows nothing afterwards: scratch, flag tables and streams
     // are all build-time state.
     plan.solve(b, x);
-    plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
-    plan.solve_batch(b, x, k, sp::BatchMode::kColumnSequential);
+    plan.solve_batch(b, x, k);
 
     const std::uint64_t expected_dispatches =
         s == sp::ExecutionStrategy::kSerial ? 0u : 1u;
@@ -245,7 +237,7 @@ TEST(PackedLayout, PackedSolvesAreZeroAllocAndOneDispatch) {
 
     const rt::DispatchProbe probe2(pool());
     const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-    plan.solve_batch(b, x, k, sp::BatchMode::kWavefrontInterleaved);
+    plan.solve_batch(b, x, k);
     const std::uint64_t alloc_batch =
         g_allocs.load(std::memory_order_relaxed) - a1;
     const std::uint64_t disp_batch = probe2.delta();

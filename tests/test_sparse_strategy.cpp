@@ -11,6 +11,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/advisor.hpp"
@@ -257,84 +258,119 @@ TEST(StrategySelection, RandomLoopDepsGetConcreteAdviceWithRationale) {
 
 TEST(StrategyExecution, EveryStrategyBitwiseAcrossThreadsAndBatchShapes) {
   // The acceptance matrix: all five strategy knobs x thread counts 1/2/4
-  // x {fused solve, solve_batch k in {1, 8} in both modes}, every result
-  // bitwise identical to the sequential path, with the dispatch budget
-  // asserted (1 for parallel strategies, 0 for serial).
-  const sp::IluFactors f = sp::ilu0(gen::five_point(16, 16));
-  const index_t n = f.l.rows;
+  // x {fused solve, solve_batch k in {1, 3, 8, 17}, a work_reps solve},
+  // every result bitwise identical to the sequential path, with the
+  // dispatch budget asserted (1 for parallel strategies, 0 for serial).
+  // The factors cover the walker's edge cases: n = 1, n below the thread
+  // count, a pure chain (one row per level), scattered long-distance
+  // chains and a gapped band (cross-block dependences in both position
+  // spaces, levels narrower than the thread count).
+  const sp::IluFactors stencil = sp::ilu0(gen::five_point(16, 16));
+  const sp::IluFactors one = sp::ilu0(gapped_band(1, 1));
+  const sp::IluFactors three = sp::ilu0(gapped_band(3, 1));
+  const sp::IluFactors chain = sp::ilu0(gapped_band(40, 1));
+  const sp::IluFactors band = sp::ilu0(gapped_band(200, 7));
+  const ScatteredChains scattered = scattered_chains(300, 4);
+  struct Factors {
+    const char* name;
+    const sp::Csr& l;
+    const sp::Csr& u;
+  };
+  const Factors cases[] = {{"stencil", stencil.l, stencil.u},
+                           {"n=1", one.l, one.u},
+                           {"n=3", three.l, three.u},
+                           {"chain", chain.l, chain.u},
+                           {"gapped-band", band.l, band.u},
+                           {"scattered", scattered.l, scattered.u}};
 
-  for (ExecutionStrategy req :
-       {ExecutionStrategy::kDoacross, ExecutionStrategy::kLevelBarrier,
-        ExecutionStrategy::kSerial, ExecutionStrategy::kBlockedHybrid,
-        ExecutionStrategy::kAuto}) {
-    for (unsigned nth : {1u, 2u, 4u}) {
-      sp::PlanOptions opts;
-      opts.nthreads = nth;
-      opts.strategy = req;
-      // Calibration off: the dispatch budget below asserts one strategy
-      // per plan; the calibration race itself is covered by the
-      // StrategyCalibration suite.
-      opts.calibration_epochs = 0;
-      sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
-      ASSERT_NE(plan.strategy(), ExecutionStrategy::kAuto);
-      ASSERT_FALSE(plan.telemetry().rationale.empty());
-      const std::uint64_t per_solve =
-          plan.strategy() == ExecutionStrategy::kSerial ? 0u : 1u;
-      const char* sname = core::to_string(plan.strategy());
+  for (const Factors& f : cases) {
+    const index_t n = f.l.rows;
+    for (ExecutionStrategy req :
+         {ExecutionStrategy::kDoacross, ExecutionStrategy::kLevelBarrier,
+          ExecutionStrategy::kSerial, ExecutionStrategy::kBlockedHybrid,
+          ExecutionStrategy::kAuto}) {
+      for (unsigned nth : {1u, 2u, 4u}) {
+        sp::PlanOptions opts;
+        opts.nthreads = nth;
+        opts.strategy = req;
+        // Calibration off: the dispatch budget below asserts one strategy
+        // per plan; the calibration race itself is covered by the
+        // StrategyCalibration suite.
+        opts.calibration_epochs = 0;
+        sp::TrisolvePlan plan(pool(), f.l, f.u, opts);
+        ASSERT_NE(plan.strategy(), ExecutionStrategy::kAuto);
+        ASSERT_FALSE(plan.telemetry().rationale.empty());
+        const std::uint64_t per_solve =
+            plan.strategy() == ExecutionStrategy::kSerial ? 0u : 1u;
+        const std::string what = std::string(f.name) + " " +
+                                 core::to_string(plan.strategy()) +
+                                 " nth=" + std::to_string(nth);
+        const char* sname = what.c_str();
 
-      // Fused single solve (also covers solve_lower/solve_upper paths).
-      rt::DispatchProbe probe(pool());
-      expect_bitwise_fused(plan, f.l, f.u,
-                           400 + nth + static_cast<unsigned>(req), sname);
-      EXPECT_EQ(probe.delta(), per_solve) << sname << " nth=" << nth;
+        // Fused single solve (also covers solve_lower/solve_upper paths).
+        rt::DispatchProbe probe(pool());
+        expect_bitwise_fused(plan, f.l, f.u,
+                             400 + nth + static_cast<unsigned>(req), sname);
+        EXPECT_EQ(probe.delta(), per_solve) << sname;
 
-      const auto rhs = random_rhs(n, 500 + nth);
-      std::vector<double> y_seq(static_cast<std::size_t>(n)),
-          y(static_cast<std::size_t>(n));
-      sp::trisolve_lower_seq(f.l, rhs, y_seq);
-      plan.solve_lower(rhs, y);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-                  y[static_cast<std::size_t>(i)])
-            << sname << " lower row " << i;
-      }
-      sp::trisolve_upper_seq(f.u, rhs, y_seq);
-      plan.solve_upper(rhs, y);
-      for (index_t i = 0; i < n; ++i) {
-        ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
-                  y[static_cast<std::size_t>(i)])
-            << sname << " upper row " << i;
-      }
-
-      // Batched solves, both modes, k in {1, 8}.
-      for (index_t k : {1, 8}) {
-        const auto b = random_rhs(n * k, 600 + static_cast<unsigned>(k));
-        std::vector<double> x_ref(static_cast<std::size_t>(n * k));
-        for (index_t c = 0; c < k; ++c) {
-          std::vector<double> t(static_cast<std::size_t>(n));
-          sp::trisolve_lower_seq(
-              f.l,
-              std::span<const double>(b.data() + c * n,
-                                      static_cast<std::size_t>(n)),
-              t);
-          sp::trisolve_upper_seq(
-              f.u, t,
-              std::span<double>(x_ref.data() + c * n,
-                                static_cast<std::size_t>(n)));
+        const auto rhs = random_rhs(n, 500 + nth);
+        std::vector<double> y_seq(static_cast<std::size_t>(n)),
+            y(static_cast<std::size_t>(n));
+        sp::trisolve_lower_seq(f.l, rhs, y_seq);
+        plan.solve_lower(rhs, y);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
+                    y[static_cast<std::size_t>(i)])
+              << sname << " lower row " << i;
         }
-        for (sp::BatchMode mode : {sp::BatchMode::kColumnSequential,
-                                   sp::BatchMode::kWavefrontInterleaved}) {
+        sp::trisolve_upper_seq(f.u, rhs, y_seq);
+        plan.solve_upper(rhs, y);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(y_seq[static_cast<std::size_t>(i)],
+                    y[static_cast<std::size_t>(i)])
+              << sname << " upper row " << i;
+        }
+
+        // Batched solves across widths that straddle the lane minimum.
+        for (index_t k : {1, 3, 8, 17}) {
+          const auto b = random_rhs(n * k, 600 + static_cast<unsigned>(k));
+          std::vector<double> x_ref(static_cast<std::size_t>(n * k));
+          for (index_t c = 0; c < k; ++c) {
+            std::vector<double> t(static_cast<std::size_t>(n));
+            sp::trisolve_lower_seq(
+                f.l,
+                std::span<const double>(b.data() + c * n,
+                                        static_cast<std::size_t>(n)),
+                t);
+            sp::trisolve_upper_seq(
+                f.u, t,
+                std::span<double>(x_ref.data() + c * n,
+                                  static_cast<std::size_t>(n)));
+          }
           std::vector<double> x(static_cast<std::size_t>(n * k), 0.0);
           probe.rebase();
-          plan.solve_batch(b, x, k, mode);
-          EXPECT_EQ(probe.delta(), per_solve)
-              << sname << " nth=" << nth << " k=" << k;
+          plan.solve_batch(b, x, k);
+          EXPECT_EQ(probe.delta(), per_solve) << sname << " k=" << k;
           for (index_t i = 0; i < n * k; ++i) {
             ASSERT_EQ(x_ref[static_cast<std::size_t>(i)],
                       x[static_cast<std::size_t>(i)])
-                << sname << " nth=" << nth << " k=" << k << " mode "
-                << static_cast<int>(mode) << " elem " << i;
+                << sname << " k=" << k << " elem " << i;
           }
+        }
+
+        // The machine-emulation knob instruments every lower-solve term.
+        sp::PlanOptions emu = opts;
+        emu.work_reps = 3;
+        sp::TrisolvePlan emu_plan(pool(), f.l, f.u, emu);
+        std::vector<double> t(static_cast<std::size_t>(n)),
+            z_seq(static_cast<std::size_t>(n)), z(static_cast<std::size_t>(n));
+        sp::trisolve_lower_seq(f.l, rhs, t, emu.work_reps);
+        sp::trisolve_upper_seq(f.u, t, z_seq);
+        emu_plan.solve(rhs, z);
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(z_seq[static_cast<std::size_t>(i)],
+                    z[static_cast<std::size_t>(i)])
+              << sname << " work_reps row " << i;
         }
       }
     }
