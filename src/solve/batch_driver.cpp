@@ -6,7 +6,6 @@
 #include <string>
 
 #include "solve/gmres.hpp"
-#include "solve/vec.hpp"
 #include "sparse/spmv.hpp"
 
 namespace pdx::solve {
@@ -25,6 +24,9 @@ BatchDriver::BatchDriver(rt::ThreadPool& pool, const sparse::Csr& a,
     : pool_(&pool),
       a_(&a),
       opts_(opts),
+      ops_(a.val.size() >= kPooledKrylovMinNnz
+               ? KrylovOps(pool, opts.nthreads)
+               : KrylovOps()),
       m_(pool, a,
          sparse::PlanOptions{.nthreads = opts.nthreads,
                              .reorder = opts.reorder,
@@ -172,8 +174,8 @@ BatchReport BatchDriver::drain() {
     // Norms over the same spans pcg/bicgstab use (the full b span, the
     // n-sized residual), so the screen's verdict and report agree with
     // the single-solve path even for oversized caller spans.
-    const double bnorm = norm2(job.b);
-    const double rnorm = norm2(r);
+    const double bnorm = ops_.norm2(job.b);
+    const double rnorm = ops_.norm2(r);
     const double stop = opts_.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
     if (rnorm <= stop) {
       // Same answer (and same report) the Krylov methods produce when the
@@ -193,8 +195,9 @@ BatchReport BatchDriver::drain() {
   }
 
   // Krylov drain: every system shares m_'s plan, so each preconditioner
-  // application — each iteration of each system — is one fused dispatch
-  // with zero allocation inside the plan. Jobs that fail climb the retry
+  // application is at most one fused dispatch with zero allocation inside
+  // the plan; a pooled ops_ adds a fixed number of vector regions per
+  // iteration (four for CG, DESIGN.md §16). Jobs that fail climb the retry
   // ladder (DESIGN.md §12): attempt 2 widens the iteration budget on the
   // same method, attempts 3+ escalate kCg → kBicgstab → kGmres, every
   // attempt warm-started from the previous one's x.
@@ -250,14 +253,14 @@ SolveReport BatchDriver::run_attempt(KrylovMethod method,
       o.max_iterations = max_iterations;
       o.rel_tolerance = opts_.rel_tolerance;
       o.record_history = opts_.record_history;
-      return pcg(*a_, b, x, m_, o);
+      return pcg(*a_, b, x, m_, o, ops_);
     }
     case KrylovMethod::kBicgstab: {
       BicgstabOptions o;
       o.max_iterations = max_iterations;
       o.rel_tolerance = opts_.rel_tolerance;
       o.record_history = opts_.record_history;
-      return bicgstab(*a_, b, x, m_, o);
+      return bicgstab(*a_, b, x, m_, o, ops_);
     }
     case KrylovMethod::kGmres: {
       GmresOptions o;
@@ -265,7 +268,7 @@ SolveReport BatchDriver::run_attempt(KrylovMethod method,
       o.max_iterations = max_iterations;
       o.rel_tolerance = opts_.rel_tolerance;
       o.record_history = opts_.record_history;
-      return gmres(*a_, b, x, m_, o);
+      return gmres(*a_, b, x, m_, o, ops_);
     }
   }
   throw std::logic_error("BatchDriver: unknown Krylov method");

@@ -8,9 +8,13 @@
 //     batched SpMV pass (sparse::spmv_batch_parallel — a single pool
 //     dispatch), so already-converged systems are answered without
 //     entering a Krylov loop at all;
-//   * the rest run through PCG or BiCGSTAB sharing ONE
+//   * the rest run through PCG, BiCGSTAB or GMRES sharing ONE
 //     DoacrossIlu0Preconditioner, so every Krylov iteration of every
-//     queued system reuses the same zero-allocation fused L+U plan.
+//     queued system reuses the same zero-allocation fused L+U plan;
+//   * on an operator of at least kPooledKrylovMinNnz nonzeros the
+//     Krylov methods' SpMVs, reductions and vector updates also run on
+//     the pool (a pooled KrylovOps, DESIGN.md §16); smaller operators
+//     keep that work inline, where a fork/join costs more than it buys.
 //
 // Results are bitwise identical to solving each system alone with
 // pcg/bicgstab over a DoacrossIlu0Preconditioner (which is itself bitwise
@@ -30,12 +34,18 @@
 #include "runtime/thread_pool.hpp"
 #include "solve/bicgstab.hpp"
 #include "solve/cg.hpp"
+#include "solve/krylov_ops.hpp"
 #include "solve/precond.hpp"
 #include "sparse/csr.hpp"
 
 namespace pdx::solve {
 
 enum class KrylovMethod : std::uint8_t { kCg, kBicgstab, kGmres };
+
+/// Nonzeros from which a BatchDriver runs its Krylov vector work on the
+/// pool. Width-3 SpMV crossover on a 4-core box: 19.6k-20.2k nnz ran no
+/// faster pooled, 81k nnz ran 2.3x faster (DESIGN.md §16).
+inline constexpr std::size_t kPooledKrylovMinNnz = 65536;
 
 struct BatchDriverOptions {
   KrylovMethod method = KrylovMethod::kCg;
@@ -44,8 +54,8 @@ struct BatchDriverOptions {
   bool record_history = false;
   /// Doconsider orderings for the shared plan (PlanOptions::reorder).
   bool reorder = true;
-  /// Width of the plan's batched region and the SpMV screen; 0 = pool
-  /// width.
+  /// Width of the plan's batched region, the SpMV screen and (above
+  /// kPooledKrylovMinNnz) the Krylov vector regions; 0 = pool width.
   unsigned nthreads = 0;
   /// Trisolve strategy of the shared plan. Auto calibrates: the
   /// heuristic advisor seeds the pick, the first preconditioner
@@ -115,7 +125,11 @@ struct BatchReport {
   /// Plan solves consumed by this drain — the preconditioner
   /// applications the shared TrisolvePlan amortized.
   std::uint64_t precond_solves = 0;
-  /// Pool fork/joins consumed by this drain (rt::DispatchProbe delta).
+  /// Pool fork/joins consumed by this drain (rt::DispatchProbe delta):
+  /// the screen's SpMV (skipped for all-zero guesses), one per parallel
+  /// preconditioner application, and — above kPooledKrylovMinNnz — the
+  /// Krylov vector regions: for CG, 2 screen norms and 3 set-up regions
+  /// per solved job plus 4 per iteration (DESIGN.md §16).
   std::uint64_t pool_dispatches = 0;
   /// Execution strategy the shared plan resolved to, and why (the plan's
   /// PlanTelemetry — serving reports carry the decision with the data).
@@ -209,6 +223,7 @@ class BatchDriver {
   const sparse::Csr* a_;
   bool a_finite_ = false;  // every value of *a_ finite (the screen's A·0 = ±0)
   BatchDriverOptions opts_;
+  KrylovOps ops_;  // pooled iff a_ has >= kPooledKrylovMinNnz nonzeros
   DoacrossIlu0Preconditioner m_;
   std::vector<Job> queue_;
   // Screen scratch, grown once to the largest wave seen so repeated

@@ -25,10 +25,12 @@ struct BicgstabOptions {
 };
 
 /// Solve A x = b; x holds the initial guess on entry, the solution on
-/// exit. Reports convergence against ||b||.
+/// exit. Reports convergence against ||b||. Vector work runs through
+/// `ops`, bitwise the same at every width (DESIGN.md §16).
 SolveReport bicgstab(const sparse::Csr& a, std::span<const double> b,
                      std::span<double> x, const Preconditioner& m,
-                     const BicgstabOptions& opts = {});
+                     const BicgstabOptions& opts = {},
+                     const KrylovOps& ops = {});
 
 /// Convenience entry point owning its preconditioner: ILU(0) applied
 /// through a strategy-polymorphic TrisolvePlan (opts.strategy, default

@@ -4,13 +4,12 @@
 #include <stdexcept>
 
 #include "solve/vec.hpp"
-#include "sparse/spmv.hpp"
 
 namespace pdx::solve {
 
 SolveReport pcg(const sparse::Csr& a, std::span<const double> b,
                 std::span<double> x, const Preconditioner& m,
-                const CgOptions& opts) {
+                const CgOptions& opts, const KrylovOps& ops) {
   if (a.rows != a.cols) throw std::invalid_argument("pcg: matrix not square");
   const std::size_t n = static_cast<std::size_t>(a.rows);
   if (b.size() < n || x.size() < n) {
@@ -18,16 +17,29 @@ SolveReport pcg(const sparse::Csr& a, std::span<const double> b,
   }
 
   std::vector<double> r(n), z(n), p(n), ap(n);
+  const double* const bv = b.data();
+  double* const xv = x.data();
+  double* const rv = r.data();
+  const double* const zv = z.data();
+  double* const pv = p.data();
+  const double* const apv = ap.data();
 
-  // r = b - A x
-  sparse::spmv(a, x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  // r = b - A x, and r·r
+  ops.spmv(a, x, r);
+  double rr = ops.sum(n, [=](std::size_t lo, std::size_t hi) {
+    double s = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      rv[i] = bv[i] - rv[i];
+      s += rv[i] * rv[i];
+    }
+    return s;
+  });
 
-  const double bnorm = norm2(b);
+  const double bnorm = ops.norm2(b);
   const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
 
   SolveReport rep;
-  double rnorm = norm2(r);
+  double rnorm = std::sqrt(rr);
   if (opts.record_history) {
     rep.residual_history.push_back(bnorm > 0 ? rnorm / bnorm : rnorm);
   }
@@ -37,23 +49,38 @@ SolveReport pcg(const sparse::Csr& a, std::span<const double> b,
     return rep;
   }
 
+  // p = z, and rho = r·z
   m.apply(r, z);
-  copy(z, p);
-  double rho = dot(r, z);
+  double rho = ops.sum(n, [=](std::size_t lo, std::size_t hi) {
+    double s = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      pv[i] = zv[i];
+      s += rv[i] * zv[i];
+    }
+    return s;
+  });
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    sparse::spmv(a, p, ap);
-    const double denom = dot(p, ap);
+    ops.spmv(a, p, ap);
+    const double denom = ops.dot(p, ap);
     if (denom == 0.0 || !std::isfinite(denom)) {
       rep.breakdown = true;
       rep.breakdown_reason = "p·Ap denominator zero or non-finite";
       break;
     }
+    // x += alpha p; r -= alpha Ap, and r·r
     const double alpha = rho / denom;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
+    rr = ops.sum(n, [=](std::size_t lo, std::size_t hi) {
+      double s = 0.0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        xv[i] += alpha * pv[i];
+        rv[i] += -alpha * apv[i];
+        s += rv[i] * rv[i];
+      }
+      return s;
+    });
 
-    rnorm = norm2(r);
+    rnorm = std::sqrt(rr);
     rep.iterations = it + 1;
     if (opts.record_history) {
       rep.residual_history.push_back(bnorm > 0 ? rnorm / bnorm : rnorm);
@@ -63,12 +90,22 @@ SolveReport pcg(const sparse::Csr& a, std::span<const double> b,
       break;
     }
 
+    // rho' = r·z, then p = z + (rho' / rho) p in the same region
     m.apply(r, z);
-    const double rho_new = dot(r, z);
-    const double beta = rho_new / rho;
-    rho = rho_new;
-    // p = z + beta p
-    xpby(z, beta, p);
+    const double rho_prev = rho;
+    rho = ops.sum_then(
+                 n,
+                 [=](std::size_t lo, std::size_t hi) {
+                   return dot_range(rv, zv, lo, hi);
+                 },
+                 [=](std::size_t lo, std::size_t hi, double rho_new) {
+                   const double beta = rho_new / rho_prev;
+                   for (std::size_t i = lo; i < hi; ++i) {
+                     pv[i] = zv[i] + beta * pv[i];
+                   }
+                   return 0.0;
+                 })
+              .first;
   }
   rep.final_relative_residual = bnorm > 0 ? rnorm / bnorm : rnorm;
   return rep;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "solve/krylov_ops.hpp"
 #include "solve/precond.hpp"
 #include "sparse/csr.hpp"
 
@@ -43,10 +44,12 @@ struct CgOptions {
 };
 
 /// Solve A x = b for SPD A; x holds the initial guess on entry and the
-/// solution on exit.
+/// solution on exit. SpMVs, reductions and vector updates run through
+/// `ops`: inline by default, on a pool when the caller passes a pooled
+/// KrylovOps — bitwise the same answer either way (DESIGN.md §16).
 SolveReport pcg(const sparse::Csr& a, std::span<const double> b,
                 std::span<double> x, const Preconditioner& m,
-                const CgOptions& opts = {});
+                const CgOptions& opts = {}, const KrylovOps& ops = {});
 
 /// Convenience entry point owning its preconditioner: factors `a` with
 /// ILU(0) and applies it through a strategy-polymorphic TrisolvePlan

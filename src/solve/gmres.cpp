@@ -1,17 +1,17 @@
 #include "solve/gmres.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "solve/vec.hpp"
-#include "sparse/spmv.hpp"
 
 namespace pdx::solve {
 
 SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
                   std::span<double> x, const Preconditioner& m,
-                  const GmresOptions& opts) {
+                  const GmresOptions& opts, const KrylovOps& ops) {
   if (a.rows != a.cols) throw std::invalid_argument("gmres: not square");
   const std::size_t n = static_cast<std::size_t>(a.rows);
   if (b.size() < n || x.size() < n) {
@@ -20,11 +20,16 @@ SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
   const int mdim = opts.restart;
   if (mdim < 1) throw std::invalid_argument("gmres: restart must be >= 1");
 
-  const double bnorm = norm2(b);
+  const double bnorm = ops.norm2(b);
   const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
 
   SolveReport rep;
   std::vector<double> r(n), w(n), zv(n);
+  const double* const bv = b.data();
+  double* const xv = x.data();
+  double* const rv = r.data();
+  double* const wv = w.data();
+  const double* const zvv = zv.data();
 
   // Krylov basis (mdim + 1 vectors) and Hessenberg in column-major-ish
   // h[j] holds column j (entries 0..j+1).
@@ -40,10 +45,16 @@ SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
   double rnorm = 0.0;
 
   while (total_iters < opts.max_iterations) {
-    // r = b - A x
-    sparse::spmv(a, x, r);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-    rnorm = norm2(r);
+    // r = b - A x, and r·r
+    ops.spmv(a, x, r);
+    rnorm = std::sqrt(ops.sum(n, [=](std::size_t lo, std::size_t hi) {
+      double acc = 0.0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        rv[i] = bv[i] - rv[i];
+        acc += rv[i] * rv[i];
+      }
+      return acc;
+    }));
     if (rep.residual_history.empty() && opts.record_history) {
       rep.residual_history.push_back(bnorm > 0 ? rnorm / bnorm : rnorm);
     }
@@ -52,29 +63,56 @@ SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
       break;
     }
 
-    for (std::size_t i = 0; i < n; ++i) v[0][i] = r[i] / rnorm;
-    fill(g, 0.0);
+    double* const v0 = v[0].data();
+    ops.for_each(n, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) v0[i] = rv[i] / rnorm;
+    });
+    std::fill(g.begin(), g.end(), 0.0);
     g[0] = rnorm;
 
     int j = 0;
     for (; j < mdim && total_iters < opts.max_iterations; ++j, ++total_iters) {
       // w = A M⁻¹ v_j (right preconditioning)
       m.apply(v[static_cast<std::size_t>(j)], zv);
-      sparse::spmv(a, zv, w);
+      ops.spmv(a, zv, w);
 
-      // Modified Gram-Schmidt
+      // Modified Gram-Schmidt: h_ij = (w, v_i), then w -= h_ij v_i, one
+      // region per basis vector.
       for (int i = 0; i <= j; ++i) {
-        const double hij = dot(w, v[static_cast<std::size_t>(i)]);
-        h[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = hij;
-        axpy(-hij, v[static_cast<std::size_t>(i)], w);
+        const double* const vi = v[static_cast<std::size_t>(i)].data();
+        h[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
+            ops.sum_then(
+                   n,
+                   [=](std::size_t lo, std::size_t hi) {
+                     return dot_range(wv, vi, lo, hi);
+                   },
+                   [=](std::size_t lo, std::size_t hi, double hij) {
+                     for (std::size_t k = lo; k < hi; ++k) {
+                       wv[k] += -hij * vi[k];
+                     }
+                     return 0.0;
+                   })
+                .first;
       }
-      const double hnext = norm2(w);
+      // h_{j+1,j} = ||w||, then v_{j+1} = w / h_{j+1,j} when nonzero
+      double* const vnext = v[static_cast<std::size_t>(j) + 1].data();
+      const double hnext = std::sqrt(
+          ops.sum_then(
+                 n,
+                 [=](std::size_t lo, std::size_t hi) {
+                   return dot_range(wv, wv, lo, hi);
+                 },
+                 [=](std::size_t lo, std::size_t hi, double ww) {
+                   const double norm = std::sqrt(ww);
+                   if (norm > 0.0) {
+                     for (std::size_t k = lo; k < hi; ++k) {
+                       vnext[k] = wv[k] / norm;
+                     }
+                   }
+                   return 0.0;
+                 })
+              .first);
       h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j) + 1] = hnext;
-      if (hnext > 0.0) {
-        for (std::size_t i = 0; i < n; ++i) {
-          v[static_cast<std::size_t>(j) + 1][i] = w[i] / hnext;
-        }
-      }
 
       // Apply previous Givens rotations to the new column.
       for (int i = 0; i < j; ++i) {
@@ -124,13 +162,22 @@ SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
       }
       yk[static_cast<std::size_t>(i)] = acc / h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
     }
-    // x += M⁻¹ (V y)
-    fill(w, 0.0);
-    for (int i = 0; i < j; ++i) {
-      axpy(yk[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i)], w);
-    }
+    // x += M⁻¹ (V y): w_e = sum over i of y_i v_i[e], accumulated in
+    // basis order
+    ops.for_each(n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t e = lo; e < hi; ++e) {
+        double acc = 0.0;
+        for (int i = 0; i < j; ++i) {
+          acc += yk[static_cast<std::size_t>(i)] *
+                 v[static_cast<std::size_t>(i)][e];
+        }
+        wv[e] = acc;
+      }
+    });
     m.apply(w, zv);
-    axpy(1.0, zv, x);
+    ops.for_each(n, [=](std::size_t lo, std::size_t hi) {
+      for (std::size_t e = lo; e < hi; ++e) xv[e] += zvv[e];
+    });
 
     if (rnorm <= stop) {
       rep.converged = true;

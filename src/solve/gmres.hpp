@@ -24,10 +24,11 @@ struct GmresOptions {
 };
 
 /// Solve A x = b with right-preconditioned restarted GMRES; x holds the
-/// initial guess on entry and the solution on exit.
+/// initial guess on entry and the solution on exit. Vector work runs
+/// through `ops`, bitwise the same at every width (DESIGN.md §16).
 SolveReport gmres(const sparse::Csr& a, std::span<const double> b,
                   std::span<double> x, const Preconditioner& m,
-                  const GmresOptions& opts = {});
+                  const GmresOptions& opts = {}, const KrylovOps& ops = {});
 
 /// Convenience entry point owning its preconditioner: ILU(0) applied
 /// through a strategy-polymorphic TrisolvePlan (opts.strategy, default

@@ -5,7 +5,6 @@
 
 #include "sparse/permute.hpp"
 #include "sparse/trisolve.hpp"
-#include "solve/vec.hpp"
 
 namespace pdx::solve {
 

@@ -165,8 +165,13 @@ void Service::update_values(MatrixId id, const sparse::Csr& a) {
   // Deferred: the scheduler applies it before the tenant's next strip.
   // Clients must never run pool regions themselves (the refresh is a
   // parallel numeric factorization), and the driver may be mid-drain.
-  t->pending = a;
   t->pending_same_pattern = same_pattern(a, t->a);
+  if (t->pending_same_pattern) {
+    t->pending_val.assign(a.val.begin(), a.val.end());
+    t->pending = sparse::Csr{};  // supersedes a queued pattern change
+  } else {
+    t->pending = a;
+  }
   t->has_pending = true;
 }
 
@@ -621,8 +626,7 @@ void Service::apply_pending_update(Tenant& t) {
   if (!t.has_pending) return;
   t.has_pending = false;
   if (t.pending_same_pattern) {
-    t.a.val = std::move(t.pending.val);
-    t.pending = sparse::Csr{};
+    t.a.val.swap(t.pending_val);
     if (t.driver) {
       // The plan-cache pattern hit: parallel numeric refactor through the
       // persistent FactorPlan + value-only TrisolvePlan refresh. Throws

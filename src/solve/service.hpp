@@ -382,9 +382,13 @@ class Service {
     rt::FaultInjector* injector = nullptr;
 
     // Pending update_values payload, applied by the scheduler before the
-    // tenant's next strip (clients must not run pool regions).
+    // tenant's next strip (clients must not run pool regions). A
+    // same-pattern update carries only values, in pending_val, which
+    // trades buffers with a.val when applied so steady updates reuse its
+    // capacity; a pattern change carries the whole matrix in pending.
     bool has_pending = false;
     bool pending_same_pattern = false;
+    std::vector<double> pending_val;
     sparse::Csr pending;
 
     std::uint64_t refreshes = 0;  // value-only refreshes applied

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "gen/block_operator.hpp"
@@ -268,6 +269,65 @@ TEST(BatchDriver, ZeroGuessScreenSkipsTheSpmvDispatch) {
     EXPECT_EQ(z.attempts, m.attempts) << "job " << j;
     EXPECT_EQ(z.breakdown, m.breakdown) << "job " << j;
   }
+}
+
+TEST(BatchDriver, PooledKrylovDispatchBudgetIsExact) {
+  // Above kPooledKrylovMinNnz the driver runs the Krylov vector work on
+  // the pool. With the trisolve strategy pinned (one dispatch per
+  // preconditioner application) and all-zero guesses (no screen SpMV),
+  // every other fork/join is a Krylov region, and CG's count is fixed:
+  // 2 screen norms per job, then per solved job 4 set-up regions
+  // (residual SpMV, r = b - Ax with r·r, ||b||, p = z with r·z) plus 4 per
+  // iteration (SpMV, p·Ap, the fused x/r update with r·r, and r·z fused
+  // with the p update), minus the last iteration's p update.
+  const sp::Csr a = gen::seven_point(24, 24, 24);
+  ASSERT_GE(a.val.size(), solve::kPooledKrylovMinNnz);
+  const index_t n = a.rows;
+  const auto b0 = random_vec(n, 91);
+  const auto b1 = random_vec(n, 92);
+
+  solve::BatchDriverOptions opts;
+  opts.strategy = sp::ExecutionStrategy::kLevelBarrier;
+  opts.calibration_epochs = 0;
+  opts.nthreads = 4;
+  opts.rel_tolerance = 1e-9;
+  solve::BatchDriver driver(pool(), a, opts);
+  std::vector<double> x0(static_cast<std::size_t>(n), 0.0),
+      x1(static_cast<std::size_t>(n), 0.0);
+  driver.enqueue(b0, x0);
+  driver.enqueue(b1, x1);
+  const solve::BatchReport rep = driver.drain();
+  ASSERT_EQ(rep.converged, 2u);
+  EXPECT_EQ(rep.screened, 0u);
+  EXPECT_EQ(rep.precond_solves, rep.total_iterations)
+      << "one application before the loop, one per non-final iteration";
+  EXPECT_EQ(rep.pool_dispatches,
+            rep.precond_solves + 2 * rep.jobs + 3 * rep.jobs +
+                4 * rep.total_iterations);
+
+  // The pooled drain gives the sequential answer bit for bit.
+  const solve::Ilu0Preconditioner seq(a);
+  solve::CgOptions copts;
+  copts.rel_tolerance = opts.rel_tolerance;
+  copts.record_history = false;
+  for (const auto& [b, x] : {std::pair{&b0, &x0}, std::pair{&b1, &x1}}) {
+    std::vector<double> y(static_cast<std::size_t>(n), 0.0);
+    const solve::SolveReport ref = solve::pcg(a, *b, y, seq, copts);
+    EXPECT_EQ(ref.iterations,
+              rep.reports[b == &b0 ? 0 : 1].iterations);
+    ASSERT_EQ(y, *x);
+  }
+
+  // Below the threshold the same drain adds no Krylov region.
+  const sp::Csr small = gen::five_point(63, 63);
+  ASSERT_LT(small.val.size(), solve::kPooledKrylovMinNnz);
+  solve::BatchDriver small_driver(pool(), small, opts);
+  const auto bs = random_vec(small.rows, 93);
+  std::vector<double> xs(static_cast<std::size_t>(small.rows), 0.0);
+  small_driver.enqueue(bs, xs);
+  const solve::BatchReport small_rep = small_driver.drain();
+  ASSERT_EQ(small_rep.converged, 1u);
+  EXPECT_EQ(small_rep.pool_dispatches, small_rep.precond_solves);
 }
 
 TEST(BatchDriver, EmptyDrainAndGuards) {

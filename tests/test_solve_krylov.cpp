@@ -1,16 +1,23 @@
 // Tests for the Krylov substrate: PCG and GMRES convergence, the
-// preconditioner hierarchy, and the doacross-backed ILU application.
+// preconditioner hierarchy, the doacross-backed ILU application, and the
+// pooled KrylovOps context giving the sequential answer bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "gen/block_operator.hpp"
 #include "gen/rng.hpp"
 #include "gen/stencil.hpp"
 #include "runtime/thread_pool.hpp"
+#include "solve/batch_driver.hpp"
+#include "solve/bicgstab.hpp"
 #include "solve/cg.hpp"
 #include "solve/gmres.hpp"
+#include "solve/krylov_ops.hpp"
 #include "solve/precond.hpp"
 #include "sparse/spmv.hpp"
 
@@ -195,4 +202,75 @@ TEST(SolveGuards, MismatchedSizesThrow) {
                std::invalid_argument);
   EXPECT_THROW(solve::gmres(a, small, x, solve::IdentityPreconditioner{}),
                std::invalid_argument);
+}
+
+TEST(KrylovOps, PooledMethodsMatchSequentialBitwiseAcrossWidths) {
+  // One operator above the BatchDriver's pooling threshold (7-point 24^3,
+  // 13,824 rows) and one below it (5-point 63^2, 3,969 rows: still two
+  // reduction blocks, so its pooled context forks too).
+  const sp::Csr above = gen::seven_point(24, 24, 24);
+  const sp::Csr below = gen::five_point(63, 63);
+  ASSERT_GE(above.val.size(), solve::kPooledKrylovMinNnz);
+  ASSERT_LT(below.val.size(), solve::kPooledKrylovMinNnz);
+
+  std::vector<std::unique_ptr<rt::ThreadPool>> pools;
+  for (unsigned w = 1; w <= 4; ++w) {
+    pools.push_back(std::make_unique<rt::ThreadPool>(w));
+  }
+
+  for (const sp::Csr* a : {&above, &below}) {
+    const auto b = rhs_for_solution(*a, nullptr, 31);
+    const std::size_t n = static_cast<std::size_t>(a->rows);
+    const solve::Ilu0Preconditioner seq(*a);
+    // Loose enough to stay fast, tight enough for dozens of iterations.
+    const double tol = 1e-9;
+
+    using Solver = std::function<solve::SolveReport(
+        const solve::Preconditioner&, std::span<double>,
+        const solve::KrylovOps&)>;
+    const std::vector<std::pair<const char*, Solver>> methods = {
+        {"cg",
+         [&](const solve::Preconditioner& m, std::span<double> x,
+             const solve::KrylovOps& ops) {
+           return solve::pcg(*a, b, x, m, {.rel_tolerance = tol}, ops);
+         }},
+        {"bicgstab",
+         [&](const solve::Preconditioner& m, std::span<double> x,
+             const solve::KrylovOps& ops) {
+           return solve::bicgstab(*a, b, x, m, {.rel_tolerance = tol}, ops);
+         }},
+        {"gmres",
+         [&](const solve::Preconditioner& m, std::span<double> x,
+             const solve::KrylovOps& ops) {
+           return solve::gmres(*a, b, x, m,
+                               {.restart = 20, .rel_tolerance = tol}, ops);
+         }},
+    };
+
+    for (const auto& [name, solver] : methods) {
+      std::vector<double> x_ref(n, 0.0);
+      const solve::SolveReport ref = solver(seq, x_ref, solve::KrylovOps{});
+      ASSERT_TRUE(ref.converged) << name << " rows " << a->rows;
+      ASSERT_GT(ref.iterations, 2) << name;
+      for (const auto& pool : pools) {
+        // The pooled context over the parallel preconditioner: every
+        // layer of the iteration on the pool.
+        const solve::DoacrossIlu0Preconditioner m(*pool, *a);
+        const solve::KrylovOps ops(*pool, 0);
+        std::vector<double> x(n, 0.0);
+        const solve::SolveReport got = solver(m, x, ops);
+        EXPECT_EQ(got.iterations, ref.iterations)
+            << name << " rows " << a->rows << " width " << pool->width();
+        EXPECT_EQ(got.final_relative_residual, ref.final_relative_residual)
+            << name << " width " << pool->width();
+        EXPECT_EQ(got.residual_history, ref.residual_history)
+            << name << " width " << pool->width();
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(x[i], x_ref[i]) << name << " rows " << a->rows
+                                    << " width " << pool->width() << " i "
+                                    << i;
+        }
+      }
+    }
+  }
 }

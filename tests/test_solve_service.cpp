@@ -474,6 +474,61 @@ TEST(Service, PatternHitAppliesValueOnlyRefresh) {
   EXPECT_EQ(svc.matrix_info(id).refreshes, 1u);
 }
 
+TEST(Service, SuccessiveValueUpdatesMatchFreshIlu0Bitwise) {
+  // Same-pattern updates carry only values, in a buffer that trades
+  // places with the operator's on each refresh. Two refreshes in a row
+  // (the second superseding a queued third) must each answer exactly as
+  // a fresh ILU(0) of the new operator does. 7-point 24^3 is above the
+  // pooled-Krylov threshold, so the pooled iteration is checked too.
+  solve::Service svc(pool(), {});
+  const sp::Csr a0 = gen::seven_point(24, 24, 24);
+  const solve::MatrixId id = svc.register_matrix(a0);
+  const std::size_t n = static_cast<std::size_t>(a0.rows);
+  std::vector<double> x(n);
+  ASSERT_EQ(svc.solve(id, random_vec(a0.rows, 110), x).outcome,
+            JobOutcome::kSolved);
+
+  auto scaled = [&a0](double off, double diag) {
+    sp::Csr a = a0;
+    for (index_t r = 0; r < a.rows; ++r) {
+      for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
+        a.val[static_cast<std::size_t>(k)] *=
+            a.idx[static_cast<std::size_t>(k)] == r ? diag : off;
+      }
+    }
+    return a;
+  };
+  const sp::Csr a1 = scaled(0.9, 1.2);
+  const sp::Csr superseded = scaled(0.5, 3.0);
+  const sp::Csr a2 = scaled(0.8, 1.05);
+
+  auto expect_fresh_answer = [&](const sp::Csr& a, std::uint64_t seed) {
+    const auto b = random_vec(a.rows, seed);
+    const solve::JobResult res = svc.solve(id, b, x);
+    ASSERT_EQ(res.outcome, JobOutcome::kSolved) << res.error;
+    std::vector<double> y(n, 0.0);
+    solve::CgOptions o;
+    o.max_iterations = svc.options().solver.max_iterations;
+    o.rel_tolerance = svc.options().solver.rel_tolerance;
+    const solve::SolveReport ref =
+        solve::pcg(a, b, y, solve::Ilu0Preconditioner(a), o);
+    ASSERT_TRUE(ref.converged);
+    EXPECT_EQ(res.report.iterations, ref.iterations);
+    EXPECT_EQ(x, y);
+  };
+
+  svc.update_values(id, a1);
+  expect_fresh_answer(a1, 111);
+  svc.update_values(id, superseded);
+  svc.update_values(id, a2);
+  expect_fresh_answer(a2, 112);
+
+  const solve::ServiceReport rep = svc.report();
+  EXPECT_EQ(rep.cache_misses, 1u);
+  EXPECT_EQ(rep.value_refreshes, 2u);
+  EXPECT_TRUE(svc.shutdown(10000.0));
+}
+
 TEST(Service, PatternChangeRebuildsPlans) {
   solve::Service svc(pool(), {});
   const sp::Csr a = gen::five_point(8, 8);  // n = 64
